@@ -25,8 +25,6 @@ from .games import (  # noqa: E402
     params_to_json_dict,
     payoff_vector,
     utility,
-    utility_game0,
-    utility_game1,
     validate_params,
 )
 from .equilibrium import (  # noqa: E402

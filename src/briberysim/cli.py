@@ -29,6 +29,7 @@ from .scenario import (
     load_scenario,
     report_json,
     run_scenario,
+    table_csv,
 )
 
 
@@ -83,59 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _task_csv(task) -> str:
-    """Render one task's natural table as CSV text."""
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    result = task.payload
-    if task.kind == "cascade":
-        n = len(result["initial_payoffs"])
-        writer.writerow(["step", "deviating_set", *[f"payoff_{i}" for i in range(n)], "monotone"])
-        writer.writerow([0, "", *result["initial_payoffs"], True])
-        for step in result["steps"]:
-            writer.writerow(
-                [
-                    step["step"],
-                    ";".join(str(i) for i in step["deviating_set"]),
-                    *step["payoffs"],
-                    step["deviator_monotone"],
-                ]
-            )
-    elif task.kind == "sweep":
-        rows = result["rows"]
-        keys: list[str] = []
-        for row in rows:
-            keys.extend(k for k in row if k not in keys)
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([row.get(k, "") for k in keys])
-    elif task.kind == "contract_trace":
-        settlement = result["settlement"]
-        writer.writerow(["node", "kind", "amount"])
-        for node, amount in settlement["payouts"].items():
-            writer.writerow([node, "payout", amount])
-        for node, amount in settlement["burned_deposits"].items():
-            writer.writerow([node, "burned", amount])
-        writer.writerow(["magnate", "residual", settlement["residual_to_magnate"]])
-    elif task.kind == "chain_sim":
-        writer.writerow(["runs", "successes", "success_rate", "success_rate_decimal"])
-        writer.writerow(
-            [result["runs"], result["successes"], result["success_rate"], result["success_rate_decimal"]]
-        )
-    else:
-        writer.writerow(["kind", "index", "passed"])
-        writer.writerow([task.kind, task.index, task.passed])
-    return buffer.getvalue()
-
-
 def _emit(report: RunReport, args) -> int:
     if args.format == "json":
         sys.stdout.write(report_json(report))
     elif args.format == "csv":
-        sys.stdout.write("\n".join(_task_csv(task) for task in report.tasks))
+        sys.stdout.write("\n".join(table_csv(task) for task in report.tasks))
     else:
         print(f"scenario {report.scenario_name}  seed {report.seed}  tool {report.tool_version}")
         for task in report.tasks:

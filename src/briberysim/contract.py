@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .games import NodeId, PowerDistribution
 from .rational import format_rational, format_rational_list, parse_rational, parse_rational_list
@@ -357,15 +357,3 @@ def replay_events(lines: Iterable[str]) -> ReplayResult:
     if state is None:
         raise ValueError("event log contains no init event")
     return ReplayResult(final_state=state, outcomes=tuple(outcomes))
-
-
-def summary_to_csv(summary: SettlementSummary, fh: IO[str]) -> None:
-    import csv
-
-    writer = csv.writer(fh)
-    writer.writerow(["node", "kind", "amount"])
-    for node, amount in sorted(summary.payouts.items()):
-        writer.writerow([node, "payout", format_rational(amount)])
-    for node, amount in sorted(summary.burned_deposits.items()):
-        writer.writerow([node, "burned", format_rational(amount)])
-    writer.writerow(["magnate", "residual", format_rational(summary.residual_to_magnate)])

@@ -18,11 +18,10 @@ Everything here is exact Fraction arithmetic; profile scans are exhaustive
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Sequence
+from typing import Sequence
 
 from .games import (
     GameParams,
@@ -31,6 +30,7 @@ from .games import (
     Strategy,
     StrategyProfile,
     Variant,
+    _payoff_rule,
     all_commit,
     all_honest,
     opposing_strategy,
@@ -259,23 +259,6 @@ def find_deviation_cascade(params: GameParams, order: Sequence[NodeId]) -> Casca
     )
 
 
-def cascade_to_csv(trace: CascadeTrace, fh: IO[str]) -> None:
-    """CSV export: step, deviating_set, payoff_0..payoff_{n-1}, monotone."""
-    n = len(trace.initial_payoffs)
-    writer = csv.writer(fh)
-    writer.writerow(["step", "deviating_set", *[f"payoff_{i}" for i in range(n)], "monotone"])
-    writer.writerow([0, "", *format_rational_list(trace.initial_payoffs), True])
-    for step in trace.steps:
-        writer.writerow(
-            [
-                step.step,
-                ";".join(str(i) for i in step.deviating),
-                *format_rational_list(step.payoffs),
-                step.deviator_monotone,
-            ]
-        )
-
-
 # --- Deposit bound (T2) ---------------------------------------------------
 
 def deposit_bound(params: GameParams) -> Fraction:
@@ -444,35 +427,38 @@ class VerificationReport:
         }
 
 
-def _check_t1(params: GameParams) -> str | None:
-    report = is_strict_nash(params, all_honest(params.n, Variant.NO_COLLUSION))
-    if not report.is_strict_nash:
-        ce = report.counterexample
-        return (
-            f"all-honest not strict in the no-collusion game: node {ce.node} deviates to "
-            f"{ce.strategy.value} for {format_rational(ce.payoff_after)} >= "
-            f"{format_rational(ce.payoff_before)}"
-        )
-    return None
+def _check_strict_nash(params: GameParams, profile: StrategyProfile, label: str) -> str | None:
+    report = is_strict_nash(params, profile)
+    if report.is_strict_nash:
+        return None
+    ce = report.counterexample
+    game = profile.variant.value.replace("_", "-")
+    return (
+        f"{label} not strict in the {game} game: node {ce.node} deviates to "
+        f"{ce.strategy.value} for {format_rational(ce.payoff_after)} >= "
+        f"{format_rational(ce.payoff_before)}"
+    )
 
 
 def _check_t3(params: GameParams) -> str | None:
     n = params.n
-    t = params.threshold_t
-    # subset power sums via the lowest-set-bit recurrence
+    full = (1 << n) - 1
+    # subset power sums via the lowest-set-bit recurrence; the honest side
+    # of a deviating subset is its complement
     subset_power = [Fraction(0)] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
         subset_power[mask] = subset_power[mask ^ low] + params.powers[low.bit_length() - 1]
     for mask in range(1, 1 << n):
-        ordered_malicious = subset_power[mask] > t
+        _, committed = _payoff_rule(
+            params, Variant.COLLUSION, subset_power[full ^ mask], subset_power[mask]
+        )
         for i in range(n):
             if not mask >> i & 1:
                 continue
-            payoff = params.reward_malicious[i] if ordered_malicious else params.reward_honest[i]
-            if payoff < params.reward_honest[i]:
+            if committed[i] < params.reward_honest[i]:
                 return (
-                    f"deviating subset {mask:#x}: node {i} earns {format_rational(payoff)} < "
+                    f"deviating subset {mask:#x}: node {i} earns {format_rational(committed[i])} < "
                     f"honest reward {format_rational(params.reward_honest[i])}"
                 )
     nash = is_strict_nash(params, all_honest(n, Variant.COLLUSION))
@@ -481,19 +467,13 @@ def _check_t3(params: GameParams) -> str | None:
     return None
 
 
-def _check_t4(params: GameParams) -> str | None:
-    report = is_strict_nash(params, all_commit(params.n))
-    if not report.is_strict_nash:
-        ce = report.counterexample
-        return (
-            f"all-commit not strict in the collusion game: node {ce.node} deviates to "
-            f"{ce.strategy.value} for {format_rational(ce.payoff_after)} >= "
-            f"{format_rational(ce.payoff_before)}"
-        )
-    return None
-
-
-_CHECKS = {"T1": _check_t1, "T3": _check_t3, "T4": _check_t4}
+_CHECKS = {
+    "T1": lambda params: _check_strict_nash(
+        params, all_honest(params.n, Variant.NO_COLLUSION), "all-honest"
+    ),
+    "T3": _check_t3,
+    "T4": lambda params: _check_strict_nash(params, all_commit(params.n), "all-commit"),
+}
 
 
 def _validate_verifier_args(instances: int, n_range: tuple[int, int]) -> None:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .rational import format_rational, format_rational_list, parse_rational, parse_rational_list
 
@@ -344,78 +344,44 @@ def aggregate_powers(profile: StrategyProfile, powers: PowerDistribution) -> Agg
     return AggregatePowers(v_h=v_h, v_opposing=v_opposing)
 
 
-def utility_game0(params: GameParams, profile: StrategyProfile, node: NodeId) -> Fraction:
-    """Payoff of `node` in the no-collusion game.
+def _payoff_rule(
+    params: GameParams, variant: Variant, v_h: Fraction, v_opposing: Fraction
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The payoff rule of both games: per-node rewards for honest nodes and
+    for opposing nodes, given the power split.
 
-    Exactly one case applies: honest protocol executes (v_h > t), malicious
-    protocol executes (v_m > t), or neither side clears the threshold and
-    the system stalls, paying everyone 0.
+    The malicious protocol executes iff v_opposing > t. Otherwise the
+    collusion game's contract orders the honest protocol, which then runs
+    at full power, so everyone earns r_h. Without collusion the honest
+    protocol executes iff v_h > t; if neither side clears t the system
+    stalls and pays everyone 0.
     """
-    if profile.variant is not Variant.NO_COLLUSION:
-        raise ProfileVariantMismatch("utility_game0 needs a no-collusion profile")
-    agg = aggregate_powers(profile, params.powers)
-    honest = profile.choices[node] is Strategy.HONEST
-    if agg.v_h > params.threshold_t:
-        return params.reward_honest[node] if honest else params.reward_deviant_vs_honest[node]
-    if agg.v_opposing > params.threshold_t:
-        return params.reward_deviant_vs_malicious[node] if honest else params.reward_malicious[node]
-    return Fraction(0)
-
-
-def utility_game1(params: GameParams, profile: StrategyProfile, node: NodeId) -> Fraction:
-    """Payoff of `node` in the collusion game.
-
-    The contract orders the malicious protocol only when committed power
-    exceeds t; in every other regime the committed nodes run the honest
-    protocol, so the full network earns the honest reward. A stall can
-    therefore never happen in this game.
-    """
-    if profile.variant is not Variant.COLLUSION:
-        raise ProfileVariantMismatch("utility_game1 needs a collusion profile")
-    agg = aggregate_powers(profile, params.powers)
-    if agg.v_opposing > params.threshold_t:
-        if profile.choices[node] is Strategy.COMMIT:
-            return params.reward_malicious[node]
-        return params.reward_deviant_vs_malicious[node]
-    return params.reward_honest[node]
+    t = params.threshold_t
+    if v_opposing > t:
+        return params.reward_deviant_vs_malicious, params.reward_malicious
+    if variant is Variant.COLLUSION:
+        return params.reward_honest, params.reward_honest
+    if v_h > t:
+        return params.reward_honest, params.reward_deviant_vs_honest
+    stall = (Fraction(0),) * params.n
+    return stall, stall
 
 
 def utility(params: GameParams, profile: StrategyProfile, node: NodeId) -> Fraction:
-    if profile.variant is Variant.NO_COLLUSION:
-        return utility_game0(params, profile, node)
-    return utility_game1(params, profile, node)
+    """Payoff of `node` in the game named by the profile's variant."""
+    agg = aggregate_powers(profile, params.powers)
+    honest, opposing = _payoff_rule(params, profile.variant, agg.v_h, agg.v_opposing)
+    return honest[node] if profile.choices[node] is Strategy.HONEST else opposing[node]
 
 
 def payoff_vector(params: GameParams, profile: StrategyProfile) -> tuple[Fraction, ...]:
     """All nodes' payoffs for one profile, computing the power split once."""
     agg = aggregate_powers(profile, params.powers)
-    t = params.threshold_t
-    payoffs: list[Fraction] = []
-    if profile.variant is Variant.NO_COLLUSION:
-        for i, choice in enumerate(profile.choices):
-            honest = choice is Strategy.HONEST
-            if agg.v_h > t:
-                payoffs.append(
-                    params.reward_honest[i] if honest else params.reward_deviant_vs_honest[i]
-                )
-            elif agg.v_opposing > t:
-                payoffs.append(
-                    params.reward_deviant_vs_malicious[i] if honest else params.reward_malicious[i]
-                )
-            else:
-                payoffs.append(Fraction(0))
-    else:
-        ordered_malicious = agg.v_opposing > t
-        for i, choice in enumerate(profile.choices):
-            if ordered_malicious:
-                payoffs.append(
-                    params.reward_malicious[i]
-                    if choice is Strategy.COMMIT
-                    else params.reward_deviant_vs_malicious[i]
-                )
-            else:
-                payoffs.append(params.reward_honest[i])
-    return tuple(payoffs)
+    honest, opposing = _payoff_rule(params, profile.variant, agg.v_h, agg.v_opposing)
+    return tuple(
+        honest[i] if choice is Strategy.HONEST else opposing[i]
+        for i, choice in enumerate(profile.choices)
+    )
 
 
 # JSON document schema: powers/t/r_h/r_d/r_m/r_dp, rationals as strings.
@@ -447,8 +413,3 @@ def params_from_json_dict(doc: dict, context: str = "params") -> GameParams:
         reward_malicious=parse_rational_list(doc["r_m"], f"{context}.r_m"),
         reward_deviant_vs_malicious=parse_rational_list(doc["r_dp"], f"{context}.r_dp"),
     )
-
-
-def profile_from_choices(choices: Sequence[str], variant: Variant) -> StrategyProfile:
-    """Build a profile from strategy value strings ("honest", "commit", ...)."""
-    return StrategyProfile(tuple(Strategy(c) for c in choices), variant)

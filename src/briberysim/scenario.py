@@ -14,9 +14,11 @@ so rerunning a scenario yields a byte-identical report.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,9 +30,8 @@ from .chainsim import (
     sim_config_from_payload,
     trace_to_csv,
 )
-from .contract import replay_events, summary_to_csv
+from .contract import replay_events
 from .equilibrium import (
-    cascade_to_csv,
     check_weak_dominance_game1,
     deposit_bound,
     deposit_bound_attained,
@@ -63,6 +64,26 @@ TASK_KINDS = (
 
 DEFAULT_INSTANCES = {"verify_t1": 1000, "verify_t3": 500, "verify_t4": 1000}
 DEFAULT_SWEEP_CELL_CAP = 512
+
+# tasks whose table is also written as a `<kind>_<index>.csv` artifact
+TABLE_ARTIFACT_KINDS = ("cascade", "contract_trace", "sweep")
+
+SWEEP_COLUMNS = (
+    "cell",
+    "d_m",
+    "minion_share",
+    "confirmations",
+    "t",
+    "valid",
+    "violation",
+    "runs",
+    "successes",
+    "success_rate",
+    "success_rate_decimal",
+    "r_m_min",
+    "r_m_max",
+    "deposit_bound",
+)
 
 
 class ScenarioError(ValueError):
@@ -247,6 +268,51 @@ def report_json(report: RunReport) -> str:
     return json.dumps(report.to_payload(), indent=2, sort_keys=True) + "\n"
 
 
+def table_csv(task: TaskResult) -> str:
+    """Render one task's table as CSV text from its report payload.
+
+    This is both the `<kind>_<index>.csv` artifact of the table tasks and
+    what `--format csv` prints for every task.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    result = task.payload
+    if task.kind == "cascade":
+        n = len(result["initial_payoffs"])
+        writer.writerow(["step", "deviating_set", *[f"payoff_{i}" for i in range(n)], "monotone"])
+        writer.writerow([0, "", *result["initial_payoffs"], True])
+        for step in result["steps"]:
+            writer.writerow(
+                [
+                    step["step"],
+                    ";".join(str(i) for i in step["deviating_set"]),
+                    *step["payoffs"],
+                    step["deviator_monotone"],
+                ]
+            )
+    elif task.kind == "contract_trace":
+        settlement = result["settlement"]
+        writer.writerow(["node", "kind", "amount"])
+        for node, amount in settlement["payouts"].items():
+            writer.writerow([node, "payout", amount])
+        for node, amount in settlement["burned_deposits"].items():
+            writer.writerow([node, "burned", amount])
+        writer.writerow(["magnate", "residual", settlement["residual_to_magnate"]])
+    elif task.kind == "sweep":
+        writer.writerow(SWEEP_COLUMNS)
+        for row in result["rows"]:
+            writer.writerow([row.get(column, "") for column in SWEEP_COLUMNS])
+    elif task.kind == "chain_sim":
+        writer.writerow(["runs", "successes", "success_rate", "success_rate_decimal"])
+        writer.writerow(
+            [result["runs"], result["successes"], result["success_rate"], result["success_rate_decimal"]]
+        )
+    else:
+        writer.writerow(["kind", "index", "passed"])
+        writer.writerow([task.kind, task.index, task.passed])
+    return buffer.getvalue()
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -271,7 +337,12 @@ def run_scenario(
     report = RunReport(scenario_name=scenario.name, seed=seed, tool_version=__version__)
     started = time.perf_counter()
     for index, task in enumerate(scenario.tasks):
-        report.tasks.append(_run_task(scenario, task, index, seed, out))
+        result = _run_task(scenario, task, index, seed, out)
+        if out is not None and task.kind in TABLE_ARTIFACT_KINDS:
+            name = f"{task.kind}_{index}.csv"
+            _write(out / name, table_csv(result))
+            result = replace(result, artifacts=(*result.artifacts, name))
+        report.tasks.append(result)
     report.wall_time_s = time.perf_counter() - started
     if out is not None:
         _write(out / "report.json", report_json(report))
@@ -283,7 +354,6 @@ def _run_task(
 ) -> TaskResult:
     task_seed = derive_seed(seed, "task", index)
     opts = task.options
-    artifacts: list[str] = []
 
     if task.kind in ("verify_t1", "verify_t3", "verify_t4"):
         theorem = task.kind.removeprefix("verify_").upper()
@@ -301,15 +371,7 @@ def _run_task(
     if task.kind == "cascade":
         params = scenario.require_params(task.kind)
         trace = find_deviation_cascade(params, tuple(opts["order"]))
-        if out is not None:
-            import io
-
-            buffer = io.StringIO()
-            cascade_to_csv(trace, buffer)
-            name = f"cascade_{index}.csv"
-            _write(out / name, buffer.getvalue())
-            artifacts.append(name)
-        return TaskResult(task.kind, index, trace.all_monotone, trace.to_payload(), tuple(artifacts))
+        return TaskResult(task.kind, index, trace.all_monotone, trace.to_payload())
 
     if task.kind == "deposit_bound":
         params = scenario.require_params(task.kind)
@@ -332,21 +394,13 @@ def _run_task(
         with open(events_path, "r", encoding="utf-8") as fh:
             replay = replay_events(fh)
         summary = replay.summary()
-        if out is not None:
-            import io
-
-            buffer = io.StringIO()
-            summary_to_csv(summary, buffer)
-            name = f"contract_trace_{index}.csv"
-            _write(out / name, buffer.getvalue())
-            artifacts.append(name)
         payload = {
             "events": opts["events"],
             "final_phase": replay.final_state.phase.value,
             "final_order": replay.final_state.order.value,
             "settlement": summary.to_payload(),
         }
-        return TaskResult(task.kind, index, summary.conservation_holds(), payload, tuple(artifacts))
+        return TaskResult(task.kind, index, summary.conservation_holds(), payload)
 
     if task.kind == "chain_sim":
         runs = int(opts.get("runs", 1))
@@ -355,6 +409,7 @@ def _run_task(
         cfg_index = 0
         successes = 0
         first_payload = None
+        artifacts: list[str] = []
         for run_index in range(runs):
             config = scenario.sim_config(derive_seed(seed, "sim-run", cfg_index, run_index))
             detail = run_attack_detailed(config, record_trace=bool(opts.get("trace")) and run_index == 0)
@@ -363,8 +418,6 @@ def _run_task(
             if run_index == 0:
                 first_payload = detail.result.to_payload()
                 if opts.get("trace") and out is not None:
-                    import io
-
                     buffer = io.StringIO()
                     trace_to_csv(detail.trace, buffer)
                     name = f"chain_trace_{index}.csv"
@@ -380,14 +433,12 @@ def _run_task(
         return TaskResult(task.kind, index, None, payload, tuple(artifacts))
 
     if task.kind == "sweep":
-        return _run_sweep(scenario, task, index, seed, out)
+        return _run_sweep(scenario, task, index, seed)
 
     raise ScenarioError(f"unknown task kind {task.kind!r}")
 
 
-def _run_sweep(
-    scenario: Scenario, task: TaskSpec, index: int, seed: int, out: Path | None
-) -> TaskResult:
+def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int) -> TaskResult:
     """Parameter sweep over bribe pool, minion share, confirmations, threshold.
 
     Each cell synthesizes a 4-node network (two minions and two honest
@@ -483,34 +534,5 @@ def _run_sweep(
         )
         rows.append(row)
 
-    artifacts: list[str] = []
-    if out is not None:
-        import csv
-        import io
-
-        buffer = io.StringIO()
-        fieldnames = [
-            "cell",
-            "d_m",
-            "minion_share",
-            "confirmations",
-            "t",
-            "valid",
-            "violation",
-            "runs",
-            "successes",
-            "success_rate",
-            "success_rate_decimal",
-            "r_m_min",
-            "r_m_max",
-            "deposit_bound",
-        ]
-        writer = csv.DictWriter(buffer, fieldnames=fieldnames, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
-        name = f"sweep_{index}.csv"
-        _write(out / name, buffer.getvalue())
-        artifacts.append(name)
-
     payload = {"cells": len(cells), "runs_per_cell": runs_per_cell, "rows": rows}
-    return TaskResult("sweep", index, None, payload, tuple(artifacts))
+    return TaskResult("sweep", index, None, payload)

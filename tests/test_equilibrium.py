@@ -1,6 +1,5 @@
 """Tests for Nash checks, dominance, cascades, deposits, and the verifiers."""
 
-import io
 import itertools
 import random
 from fractions import Fraction
@@ -19,7 +18,7 @@ from briberysim import (
     find_deviation_cascade,
     is_strict_nash,
     random_game_params,
-    utility_game1,
+    utility,
     verify_deposit_bound,
     verify_deposit_theorem,
     verify_theorem,
@@ -27,9 +26,10 @@ from briberysim import (
 from briberysim.equilibrium import (
     MUTATION_DEVIANT_REWARD_ABOVE_HONEST,
     EnumerationLimitError,
-    cascade_to_csv,
+    _check_t3,
     deposit_bound_attained,
 )
+from briberysim.scenario import TaskResult, table_csv
 
 H, C = Strategy.HONEST, Strategy.COMMIT
 
@@ -66,8 +66,8 @@ class TestWeakDominance:
         # when both others commit, committing earns 5 instead of -3
         others_commit = StrategyProfile((H, C, C), Variant.COLLUSION)
         me_too = StrategyProfile((C, C, C), Variant.COLLUSION)
-        assert utility_game1(p3, others_commit, 0) == -3
-        assert utility_game1(p3, me_too, 0) == 5
+        assert utility(p3, others_commit, 0) == -3
+        assert utility(p3, me_too, 0) == 5
 
     def test_smaller_malicious_margin_still_dominates(self):
         params = GameParams.uniform(("2/5", "7/20", "1/4"), "1/2", 2, -1, 3, -3)
@@ -118,9 +118,8 @@ class TestDeviationCascade:
 
     def test_csv_export(self, p3):
         trace = find_deviation_cascade(p3, (2, 1, 0))
-        buffer = io.StringIO()
-        cascade_to_csv(trace, buffer)
-        lines = buffer.getvalue().splitlines()
+        task = TaskResult("cascade", 0, trace.all_monotone, trace.to_payload())
+        lines = table_csv(task).splitlines()
         assert lines[0] == "step,deviating_set,payoff_0,payoff_1,payoff_2,monotone"
         assert lines[1] == "0,,2,2,2,True"
         assert lines[3] == "2,1;2,-3,5,5,True"
@@ -192,7 +191,13 @@ class TestVerifyTheorem:
 
     def test_same_seed_same_report(self):
         assert verify_theorem("T3", 99, 40) == verify_theorem("T3", 99, 40)
-        assert verify_theorem("T1", 99, 40) != verify_theorem("T1", 98, 40) or True
+        # different seeds must draw different instances: under the mutation
+        # both fail, and the failing parameter sets must differ
+        mutation = MUTATION_DEVIANT_REWARD_ABOVE_HONEST
+        first = verify_theorem("T1", 99, 40, mutation=mutation).first_failure
+        second = verify_theorem("T1", 98, 40, mutation=mutation).first_failure
+        assert first is not None and second is not None
+        assert first.params != second.params
 
     def test_corrupted_generator_fails_t1(self):
         report = verify_theorem("T1", 5, 200, mutation=MUTATION_DEVIANT_REWARD_ABOVE_HONEST)
@@ -236,7 +241,13 @@ class TestSubsetScanAgainstDirectUtilities:
                 profile = StrategyProfile(choices, Variant.COLLUSION)
                 for i in range(n):
                     if mask >> i & 1:
-                        assert utility_game1(params, profile, i) >= params.reward_honest[i]
+                        assert utility(params, profile, i) >= params.reward_honest[i]
+
+    def test_subset_scan_can_fail(self):
+        # r_m = 1 < r_h = 2: once nodes 0 and 1 (power 3/4 > 1/2) commit, the
+        # contract orders the malicious protocol and they earn less
+        params = GameParams.uniform(("2/5", "7/20", "1/4"), "1/2", 2, -1, 1, -3)
+        assert _check_t3(params) == "deviating subset 0x3: node 0 earns 1 < honest reward 2"
 
     def test_generator_output_is_always_valid(self):
         from briberysim import validate_params

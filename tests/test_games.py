@@ -1,4 +1,4 @@
-"""Tests for the game parameter model and the two utility functions."""
+"""Tests for the game parameter model and the payoff rule of both games."""
 
 import random
 from fractions import Fraction
@@ -19,11 +19,10 @@ from briberysim import (
     params_from_json_dict,
     params_to_json_dict,
     payoff_vector,
-    utility_game0,
-    utility_game1,
+    random_game_params,
+    utility,
     validate_params,
 )
-from briberysim.games import ProfileVariantMismatch
 
 H, M, C = Strategy.HONEST, Strategy.MALICIOUS, Strategy.COMMIT
 
@@ -146,48 +145,40 @@ class TestAggregatePowers:
 
 class TestUtilityNoCollusion:
     def test_all_honest(self, p3):
-        assert utility_game0(p3, all_honest(3, Variant.NO_COLLUSION), 0) == 2
+        assert utility(p3, all_honest(3, Variant.NO_COLLUSION), 0) == 2
 
     def test_lone_deviator_punished(self, p3):
-        assert utility_game0(p3, game0(M, H, H), 0) == -1
+        assert utility(p3, game0(M, H, H), 0) == -1
 
     def test_stall_pays_zero(self, p3):
         params = GameParams.uniform(("2/5", "7/20", "1/4"), "3/5", 2, -1, 5, -3)
         profile = game0(H, M, M)  # v_h = 2/5 <= 3/5 and v_m = 3/5 <= 3/5
-        assert [utility_game0(params, profile, i) for i in range(3)] == [0, 0, 0]
+        assert [utility(params, profile, i) for i in range(3)] == [0, 0, 0]
 
     def test_malicious_majority(self, p3):
         profile = game0(M, M, H)  # v_m = 3/4 > 1/2
-        assert utility_game0(p3, profile, 0) == 5
-        assert utility_game0(p3, profile, 2) == -3
-
-    def test_rejects_collusion_profile(self, p3):
-        with pytest.raises(ProfileVariantMismatch):
-            utility_game0(p3, game1(C, H, H), 0)
+        assert utility(p3, profile, 0) == 5
+        assert utility(p3, profile, 2) == -3
 
 
 class TestUtilityCollusion:
     def test_minority_commitment_earns_honest_reward(self, p3):
-        assert utility_game1(p3, game1(C, H, H), 0) == 2
+        assert utility(p3, game1(C, H, H), 0) == 2
 
     def test_committed_majority(self, p3):
         profile = game1(C, C, H)  # committed power 3/4 > 1/2
-        assert utility_game1(p3, profile, 0) == 5
-        assert utility_game1(p3, profile, 2) == -3
+        assert utility(p3, profile, 0) == 5
+        assert utility(p3, profile, 2) == -3
 
     def test_all_committed(self, p3):
-        assert utility_game1(p3, all_commit(3), 1) == 5
+        assert utility(p3, all_commit(3), 1) == 5
 
     def test_near_stall_pays_honest_reward(self):
         # v_h = 2/5 and committed power 3/5 are both <= t = 3/5: the
         # contract orders the honest protocol, which then runs at full power
         params = GameParams.uniform(("2/5", "7/20", "1/4"), "3/5", 2, -1, 5, -3)
         profile = game1(H, C, C)
-        assert [utility_game1(params, profile, i) for i in range(3)] == [2, 2, 2]
-
-    def test_rejects_no_collusion_profile(self, p3):
-        with pytest.raises(ProfileVariantMismatch):
-            utility_game1(p3, game0(M, H, H), 0)
+        assert [utility(params, profile, i) for i in range(3)] == [2, 2, 2]
 
 
 def _case_table_game0(params, profile, node):
@@ -219,39 +210,49 @@ def _case_table_game1(params, profile, node):
     return cases
 
 
+def _assert_one_case_fires(params, variant):
+    """Every profile of `variant`: exactly one oracle case fires for each
+    node, and both `utility` and `payoff_vector` return its value."""
+    case_table = _case_table_game0 if variant is Variant.NO_COLLUSION else _case_table_game1
+    opposing = M if variant is Variant.NO_COLLUSION else C
+    n = params.n
+    for mask in range(1 << n):
+        choices = tuple(opposing if mask >> i & 1 else H for i in range(n))
+        profile = StrategyProfile(choices, variant)
+        expected = []
+        for node in range(n):
+            fired = [value for hit, value in case_table(params, profile, node) if hit]
+            assert len(fired) == 1
+            assert utility(params, profile, node) == fired[0]
+            expected.append(fired[0])
+        assert payoff_vector(params, profile) == tuple(expected)
+
+
 class TestCaseExclusivity:
     """Exactly one utility case fires for every profile, boundaries included."""
 
     @pytest.mark.parametrize("t", ["1/2", "3/5", "7/10"])
     def test_no_collusion_cases(self, t):
         params = GameParams.uniform(("2/5", "7/20", "1/4"), t, 2, -1, 5, -3)
-        for mask in range(8):
-            choices = tuple(M if mask >> i & 1 else H for i in range(3))
-            profile = game0(*choices)
-            for node in range(3):
-                cases = _case_table_game0(params, profile, node)
-                fired = [value for hit, value in cases if hit]
-                assert len(fired) == 1
-                assert utility_game0(params, profile, node) == fired[0]
+        _assert_one_case_fires(params, Variant.NO_COLLUSION)
 
     @pytest.mark.parametrize("t", ["1/2", "3/5", "7/10"])
     def test_collusion_cases(self, t):
         params = GameParams.uniform(("2/5", "7/20", "1/4"), t, 2, -1, 5, -3)
-        for mask in range(8):
-            choices = tuple(C if mask >> i & 1 else H for i in range(3))
-            profile = game1(*choices)
-            for node in range(3):
-                cases = _case_table_game1(params, profile, node)
-                fired = [value for hit, value in cases if hit]
-                assert len(fired) == 1
-                assert utility_game1(params, profile, node) == fired[0]
+        _assert_one_case_fires(params, Variant.COLLUSION)
+
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+    def test_random_instances(self, variant):
+        rng = random.Random(20261017)
+        for _ in range(20):
+            _assert_one_case_fires(random_game_params(rng, (3, 6)), variant)
 
     def test_power_sum_exactly_at_threshold(self):
         # v_h lands exactly on t: strict comparison sends this to the stall case
         params = GameParams.uniform(("2/5", "7/20", "1/4"), "3/5", 2, -1, 5, -3)
         profile = game0(M, H, H)  # v_h = 3/5 == t
-        assert utility_game0(params, profile, 0) == 0
-        assert utility_game0(params, profile, 1) == 0
+        assert utility(params, profile, 0) == 0
+        assert utility(params, profile, 1) == 0
 
 
 class TestCollusionFloor:

@@ -8,7 +8,7 @@ import pytest
 
 from briberysim import ScenarioError, load_scenario, run_scenario
 from briberysim.cli import main
-from briberysim.scenario import report_json
+from briberysim.scenario import TABLE_ARTIFACT_KINDS, report_json
 
 REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -260,7 +260,38 @@ class TestSweep:
         assert row["deposit_bound"] == "67/8"
 
 
+def assert_csv_stdout_matches_artifacts(stdout: str, out: Path) -> int:
+    """`--format csv` prints one CSV table per task (CRLF rows, tables joined
+    by a newline); each table task's block must be its artifact's bytes."""
+    blocks = [block + "\r\n" for block in stdout.removesuffix("\r\n").split("\r\n\n")]
+    tasks = json.loads((out / "report.json").read_text())["tasks"]
+    assert len(blocks) == len(tasks)
+    compared = 0
+    for block, task in zip(blocks, tasks):
+        if task["kind"] in TABLE_ARTIFACT_KINDS:
+            name = f"{task['kind']}_{task['index']}.csv"
+            assert task["artifacts"] == [name]
+            assert block.encode("utf-8") == (out / name).read_bytes()
+            compared += 1
+    return compared
+
+
 class TestCli:
+    def test_csv_stdout_matches_artifacts_for_p3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["verify", str(REPO_SCENARIOS / "p3.json"), "--out", str(out), "--format", "csv"]) == 0
+        assert assert_csv_stdout_matches_artifacts(capsys.readouterr().out, out) == 3
+
+    def test_csv_stdout_matches_artifact_for_all_invalid_sweep(self, tmp_path, capsys):
+        file = write_scenario(
+            tmp_path, tasks=[{"kind": "sweep", "grid": {"minion_share": ["1", "0"]}}]
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", str(file), "--out", str(out), "--format", "csv"]) == 0
+        stdout = capsys.readouterr().out
+        assert assert_csv_stdout_matches_artifacts(stdout, out) == 1
+        assert stdout.splitlines()[0].count(",") == 13  # all 14 sweep columns
+
     def test_verify_repo_scenario(self, tmp_path, capsys):
         small = write_scenario(
             tmp_path, tasks=[{"kind": "verify_t4", "instances": 40}, {"kind": "dominance"}]
