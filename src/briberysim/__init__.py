@@ -58,8 +58,6 @@ from .contract import (  # noqa: E402
 )
 from .chainsim import (  # noqa: E402
     AttackResult,
-    Block,
-    ChainState,
     Consensus,
     SimConfig,
     catch_up_probability,

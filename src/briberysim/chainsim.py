@@ -20,10 +20,13 @@ Two consensus flavors:
   an already-signed height, a slashable offense. Every fork block by a
   minion is counted as a double-sign and spawns a slashing proof; honest
   producers include all pending proofs in their blocks, minions never do.
-  The fork wins only if minion power exceeds the endorsement threshold for
-  the required number of consecutive post-confirmation slots and the fork
-  outgrows the honest chain; then the honest blocks carrying the proofs are
-  reverted with the rest, so no proof survives on the final chain.
+  The fork wins only if minion power exceeds the endorsement threshold t
+  and the fork outgrows the honest chain. No separate endorsement window is
+  needed: the honest chain is k blocks high when the fork starts and only
+  grows, so a strictly longer fork holds at least k + 1 blocks, endorsed over
+  at least k + 1 post-confirmation slots. When the fork wins, the honest
+  blocks carrying the proofs are reverted with the rest, so no proof
+  survives on the final chain.
 """
 
 from __future__ import annotations
@@ -37,52 +40,18 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .games import GameParams, NodeId, PowerDistribution, validate_params
-from .rational import format_rational, format_rational_list, parse_rational, parse_rational_list
+from .rational import (
+    format_rational,
+    format_rational_list,
+    parse_int,
+    parse_rational,
+    parse_rational_list,
+)
 
 
 class Consensus(Enum):
     POW_LONGEST_CHAIN = "pow_longest_chain"
     POS_SLASHING = "pos_slashing"
-
-
-@dataclass(frozen=True)
-class Block:
-    id: int
-    parent: int | None
-    height: int
-    producer: NodeId | None  # None for genesis
-    slot: int                # -1 for genesis
-    contains_target_tx: bool = False
-    contains_slashing_proof: bool = False
-
-
-@dataclass
-class ChainState:
-    """Block tree built during one run; single-threaded, mutated in place."""
-
-    blocks: dict[int, Block]
-    canonical_tip: int
-    target_block: int | None
-    confirmations_required: int
-
-    def height_of(self, block_id: int) -> int:
-        return self.blocks[block_id].height
-
-    def canonical_chain(self) -> list[Block]:
-        """Blocks from genesis to the canonical tip."""
-        chain = []
-        cursor: int | None = self.canonical_tip
-        while cursor is not None:
-            block = self.blocks[cursor]
-            chain.append(block)
-            cursor = block.parent
-        chain.reverse()
-        return chain
-
-    def confirmations(self, block_id: int) -> int:
-        """Confirmation count on the canonical chain; the block itself counts as 1."""
-        block = self.blocks[block_id]
-        return self.blocks[self.canonical_tip].height - block.height + 1
 
 
 @dataclass(frozen=True)
@@ -92,14 +61,12 @@ class SimConfig:
     consensus: Consensus
     confirmations: int
     horizon_slots: int
-    block_reward: Fraction
     double_spend_value: Fraction
     rng_seed: int
     threshold_t: Fraction = Fraction(1, 2)  # PoS endorsement threshold
 
     def __post_init__(self):
         object.__setattr__(self, "minions", frozenset(self.minions))
-        object.__setattr__(self, "block_reward", Fraction(self.block_reward))
         object.__setattr__(self, "double_spend_value", Fraction(self.double_spend_value))
         object.__setattr__(self, "threshold_t", Fraction(self.threshold_t))
         if not self.powers.is_normalized():
@@ -153,7 +120,6 @@ class TraceRow:
 @dataclass(frozen=True)
 class SimRun:
     result: AttackResult
-    chain: ChainState
     trace: tuple[TraceRow, ...]
 
 
@@ -177,7 +143,13 @@ def catch_up_probability(minion_share: Fraction, deficit: int) -> Fraction:
 
 
 def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun:
-    """Run one seeded attack simulation, keeping the block tree and trace."""
+    """Run one seeded attack simulation, optionally keeping the per-slot trace.
+
+    The race needs only height counters: the payment lands in slot 0 at
+    height 1, so it has k confirmations after slot k-1, where the minions
+    fork from genesis. From then on each slot extends the fork (a minion
+    producer) or the honest chain (anyone else).
+    """
     rng = random.Random(config.rng_seed)
     n = config.powers.n
     # cumulative producer boundaries; float rounding only biases draws by ~1e-16
@@ -188,137 +160,60 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
         boundaries.append(float(acc))
     boundaries[-1] = 1.0
 
-    genesis = Block(id=0, parent=None, height=0, producer=None, slot=-1)
-    chain = ChainState(
-        blocks={0: genesis},
-        canonical_tip=0,
-        target_block=None,
-        confirmations_required=config.confirmations,
-    )
-    trace: list[TraceRow] = []
-    next_id = 1
-    honest_tip = genesis
-    fork_root: Block | None = None
-    fork_tip: Block | None = None
-    attack_started = False
-    trigger_slot = -1
-    success = False
-    slots_elapsed = 0
-
+    k = config.confirmations
     pos = config.consensus is Consensus.POS_SLASHING
-    pos_can_finalize = config.minion_power() > config.threshold_t
-    double_signs: dict[NodeId, int] = {}
-    pending_proofs = 0
-    total_offenses = 0
-    proofs_in_block: dict[int, int] = {}
+    can_win = not pos or config.minion_power() > config.threshold_t
+    honest_blocks = [0] * n  # per producer, on the honest chain from genesis
+    fork_blocks = [0] * n    # per producer, on the fork; under PoS each is a double-sign
+    honest_height = fork_height = 0
+    pending_proofs = 0       # PoS slashing proofs not yet included in an honest block
+    success = False
+    trace: list[TraceRow] = []
 
     for slot in range(config.horizon_slots):
-        slots_elapsed = slot + 1
-        producer = bisect_right(boundaries, rng.random())
-        if producer >= n:  # guard against rng.random() == 1.0 edge
-            producer = n - 1
-        event = ""
-
-        if not attack_started:
-            block = Block(
-                id=next_id,
-                parent=honest_tip.id,
-                height=honest_tip.height + 1,
-                producer=producer,
-                slot=slot,
-                contains_target_tx=chain.target_block is None,
-            )
-            next_id += 1
-            chain.blocks[block.id] = block
-            honest_tip = block
-            chain.canonical_tip = block.id
-            if block.contains_target_tx:
-                chain.target_block = block.id
-                event = "target"
-            target = chain.blocks[chain.target_block]
-            if chain.confirmations(chain.target_block) >= config.confirmations:
-                attack_started = True
-                trigger_slot = slot
-                fork_root = chain.blocks[target.parent]
-                fork_tip = fork_root
-                event = "trigger" if event == "" else event
-            if record_trace:
-                trace.append(TraceRow(slot, producer, "canonical", block.height, event))
-            continue
-
-        if producer in config.minions:
-            # producing on the fork re-signs a height the producer already
-            # attested on the canonical chain: one double-sign per fork block
-            block = Block(
-                id=next_id,
-                parent=fork_tip.id,
-                height=fork_tip.height + 1,
-                producer=producer,
-                slot=slot,
-            )
-            next_id += 1
-            chain.blocks[block.id] = block
-            fork_tip = block
-            if pos:
-                double_signs[producer] = double_signs.get(producer, 0) + 1
-                total_offenses += 1
-                pending_proofs += 1
-            side = "fork"
+        # min() guards against the rng.random() == 1.0 edge
+        producer = min(bisect_right(boundaries, rng.random()), n - 1)
+        if slot < k:
+            honest_blocks[producer] += 1
+            honest_height += 1
+            side, height = "canonical", honest_height
+            event = "target" if slot == 0 else "trigger" if slot == k - 1 else ""
+        elif producer in config.minions:
+            fork_blocks[producer] += 1
+            fork_height += 1
+            pending_proofs += 1
+            side, height, event = "fork", fork_height, ""
         else:
-            include = pos and pending_proofs > 0
-            block = Block(
-                id=next_id,
-                parent=honest_tip.id,
-                height=honest_tip.height + 1,
-                producer=producer,
-                slot=slot,
-                contains_slashing_proof=include,
-            )
-            next_id += 1
-            chain.blocks[block.id] = block
-            honest_tip = block
-            chain.canonical_tip = block.id
-            if include:
-                proofs_in_block[block.id] = pending_proofs
-                pending_proofs = 0
-            side = "canonical"
-
-        fork_ahead = fork_tip.height > honest_tip.height
-        if config.consensus is Consensus.POW_LONGEST_CHAIN:
-            success = fork_ahead
-        else:
-            endorsed_slots = slot - trigger_slot
-            success = fork_ahead and pos_can_finalize and endorsed_slots >= config.confirmations
+            # honest producers include every pending proof in their block
+            honest_blocks[producer] += 1
+            honest_height += 1
+            pending_proofs = 0
+            side, height, event = "canonical", honest_height, ""
+        success = can_win and fork_height > honest_height
         if success:
             event = "success"
         if record_trace:
-            trace.append(TraceRow(slot, producer, side, block.height, event))
+            trace.append(TraceRow(slot, producer, side, height, event))
         if success:
             break
 
-    reverted = 0
-    if success:
-        reverted = honest_tip.height - fork_root.height
-        chain.canonical_tip = fork_tip.id
-
-    per_node = {i: 0 for i in range(n)}
-    proofs_on_final = 0
-    for block in chain.canonical_chain():
-        if block.producer is not None:
-            per_node[block.producer] += 1
-        proofs_on_final += proofs_in_block.get(block.id, 0)
-
+    double_signs: dict[NodeId, int] = {}
+    censored = 0
+    if pos:
+        double_signs = {i: c for i, c in enumerate(fork_blocks) if c}
+        # a winning fork reverts every honest block, and the proofs in them
+        censored = sum(fork_blocks) if success else pending_proofs
     result = AttackResult(
         success=success,
-        slots_elapsed=slots_elapsed,
-        fork_length=(fork_tip.height - fork_root.height) if fork_root is not None else 0,
-        reverted_blocks=reverted,
-        per_node_blocks_canonical=per_node,
+        slots_elapsed=slot + 1,
+        fork_length=fork_height,
+        reverted_blocks=honest_height if success else 0,
+        per_node_blocks_canonical=dict(enumerate(fork_blocks if success else honest_blocks)),
         consensus=config.consensus,
-        slashing_proofs_censored=total_offenses - proofs_on_final,
+        slashing_proofs_censored=censored,
         double_signs=double_signs,
     )
-    return SimRun(result=result, chain=chain, trace=tuple(trace))
+    return SimRun(result=result, trace=tuple(trace))
 
 
 def run_attack(config: SimConfig) -> AttackResult:
@@ -421,7 +316,6 @@ def sim_config_to_payload(config: SimConfig) -> dict:
         "consensus": config.consensus.value,
         "confirmations": config.confirmations,
         "horizon_slots": config.horizon_slots,
-        "block_reward": format_rational(config.block_reward),
         "double_spend_value": format_rational(config.double_spend_value),
         "threshold_t": format_rational(config.threshold_t),
         "rng_seed": config.rng_seed,
@@ -444,17 +338,20 @@ def sim_config_from_payload(
             f"{context}.consensus: {doc['consensus']!r} is not one of "
             f"{[c.value for c in Consensus]}"
         ) from None
+    minions = doc["minions"]
+    if not isinstance(minions, list):
+        raise ValueError(f"{context}.minions: expected an array of node indices, got {minions!r}")
+    seed = parse_int(doc.get("rng_seed", 0), f"{context}.rng_seed")
     return SimConfig(
         powers=PowerDistribution(parse_rational_list(doc["powers"], f"{context}.powers")),
-        minions=frozenset(int(i) for i in doc["minions"]),
+        minions=frozenset(parse_int(i, f"{context}.minions[{j}]") for j, i in enumerate(minions)),
         consensus=consensus,
-        confirmations=int(doc["confirmations"]),
-        horizon_slots=int(doc["horizon_slots"]),
-        block_reward=parse_rational(doc.get("block_reward", 1), f"{context}.block_reward"),
+        confirmations=parse_int(doc["confirmations"], f"{context}.confirmations"),
+        horizon_slots=parse_int(doc["horizon_slots"], f"{context}.horizon_slots"),
         double_spend_value=parse_rational(
             doc.get("double_spend_value", 0), f"{context}.double_spend_value"
         ),
-        rng_seed=int(doc.get("rng_seed", 0)) if rng_seed is None else rng_seed,
+        rng_seed=seed if rng_seed is None else rng_seed,
         threshold_t=parse_rational(doc.get("threshold_t", "1/2"), f"{context}.threshold_t"),
     )
 

@@ -144,6 +144,8 @@ def cmd_chain_sim(args) -> int:
     tasks = tuple(t for t in scenario.tasks if t.kind == "chain_sim")
     if not tasks:
         tasks = (TaskSpec("chain_sim", {"runs": 1}),)
+    if args.runs is not None and args.runs < 1:
+        raise ScenarioError(f"--runs must be >= 1, got {args.runs}")
     if args.runs is not None or args.trace:
         patched = []
         for task in tasks:

@@ -32,6 +32,15 @@ def parse_rational(value: object, field: str = "value") -> Fraction:
     raise ValueError(f"{field}: expected a rational string, got {type(value).__name__}")
 
 
+def parse_int(value: object, field: str, minimum: int | None = None) -> int:
+    """Parse a JSON integer, optionally bounded below; booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{field}: must be >= {minimum}, got {value}")
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical string form: "3", "2/5", "-63/20"."""
     return str(Fraction(value))

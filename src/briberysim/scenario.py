@@ -45,7 +45,7 @@ from .games import (
     params_from_json_dict,
     validate_params,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_int, parse_rational
 from .seeding import derive_seed
 
 SCHEMA_VERSION = 1
@@ -217,6 +217,16 @@ def _check_task_inputs(scenario: Scenario) -> None:
             grid = task.options.get("grid")
             if not isinstance(grid, dict):
                 raise ScenarioError(f"{where}: 'grid' must be an object of axis arrays")
+            consensus = task.options.get("consensus", Consensus.POW_LONGEST_CHAIN.value)
+            values = [c.value for c in Consensus]
+            if consensus not in values:
+                raise ScenarioError(f"{where}: 'consensus' {consensus!r} is not one of {values}")
+        count_key = {"chain_sim": "runs", "sweep": "runs_per_cell"}.get(task.kind)
+        if count_key in task.options:
+            try:
+                parse_int(task.options[count_key], f"{where}: '{count_key}'", minimum=1)
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -403,7 +413,7 @@ def _run_task(
         return TaskResult(task.kind, index, summary.conservation_holds(), payload)
 
     if task.kind == "chain_sim":
-        runs = int(opts.get("runs", 1))
+        runs = opts.get("runs", 1)
         # stream 0 of the sim-run seed space; sweep cell c uses stream c, so a
         # single-cell sweep reproduces a direct chain_sim task exactly
         cfg_index = 0
@@ -461,7 +471,7 @@ def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int) -> Tas
     conf_axis = [int(v) for v in axis("confirmations", [3])]
     t_axis = [parse_rational(v, "grid.t") for v in axis("t", ["1/2"])]
 
-    runs_per_cell = int(opts.get("runs_per_cell", 100))
+    runs_per_cell = opts.get("runs_per_cell", 100)
     horizon = int(opts.get("horizon_slots", 2000))
     consensus = Consensus(opts.get("consensus", "pow_longest_chain"))
     r_h = parse_rational(opts.get("r_h", 2), "sweep.r_h")
@@ -514,7 +524,6 @@ def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int) -> Tas
                 consensus=consensus,
                 confirmations=conf,
                 horizon_slots=horizon,
-                block_reward=Fraction(1),
                 double_spend_value=d_m,
                 rng_seed=derive_seed(seed, "sim-run", cell_index, run_index),
                 threshold_t=t,

@@ -177,7 +177,6 @@ def _pow_success_rate(minions, confirmations, horizon, runs, label):
             consensus=Consensus.POW_LONGEST_CHAIN,
             confirmations=confirmations,
             horizon_slots=horizon,
-            block_reward=Fraction(1),
             double_spend_value=Fraction(20),
             rng_seed=derive_seed(ACCEPTANCE_SEED, label, i),
         )
@@ -224,7 +223,6 @@ def test_c9_pos_censorship_in_successful_attacks():
             consensus=Consensus.POS_SLASHING,
             confirmations=3,
             horizon_slots=10_000,
-            block_reward=Fraction(1),
             double_spend_value=Fraction(20),
             rng_seed=derive_seed(ACCEPTANCE_SEED, "pos", i),
         )

@@ -1,5 +1,8 @@
 """Tests for the double-spend fork simulation and its closed-form oracle."""
 
+import hashlib
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -34,10 +37,59 @@ def make_config(
         consensus=consensus,
         confirmations=confirmations,
         horizon_slots=horizon,
-        block_reward=Fraction(1),
         double_spend_value=Fraction(20),
         rng_seed=seed,
     )
+
+
+# 1-4 node networks, each with empty, minority, majority and all-node minion sets
+RACE_GRID_NETWORKS = (
+    (["1"], ([], [0])),
+    (["1/3", "2/3"], ([], [0], [1], [0, 1])),
+    (["2/5", "7/20", "1/4"], ([], [2], [0, 1], [0, 1, 2])),
+    (["1/5", "1/5", "3/10", "3/10"], ([], [0, 1], [1, 2, 3], [0, 1, 2, 3])),
+)
+# sha256 over the grid of every result payload and trace row; any change to
+# what the race returns changes it
+RACE_GRID_DIGEST = "f9c06076102f1c12fe5d51f7aee2ac0cfab88dca8e8aebd22a0c732786d26984"
+
+
+def race_grid_digest() -> str:
+    cases = [
+        (powers, minions, *rest)
+        for powers, minion_sets in RACE_GRID_NETWORKS
+        for minions in minion_sets
+        for rest in itertools.product(
+            ("pow_longest_chain", "pos_slashing"), (1, 2, 3, 6), (1, 3, 50, 400), ("1/2", "2/3")
+        )
+    ]
+    digest = hashlib.sha256()
+    for index, (powers, minions, consensus, confirmations, horizon, t) in enumerate(cases):
+        # built from a payload, which ignores unknown keys, so that the same
+        # code runs on any version of SimConfig's fields
+        config = sim_config_from_payload(
+            {
+                "powers": powers,
+                "minions": minions,
+                "consensus": consensus,
+                "confirmations": confirmations,
+                "horizon_slots": horizon,
+                "threshold_t": t,
+                "rng_seed": derive_seed(0, "race-grid", index),
+            }
+        )
+        run = run_attack_detailed(config, record_trace=True)
+        assert run_attack(config) == run.result
+        digest.update(json.dumps(run.result.to_payload(), sort_keys=True).encode())
+        digest.update(
+            "".join(f"{r.slot},{r.producer},{r.chain},{r.height},{r.event};" for r in run.trace).encode()
+        )
+    return digest.hexdigest()
+
+
+def canonical_height(run):
+    """Height of the honest chain's tip at the end of a traced run."""
+    return max(row.height for row in run.trace if row.chain == "canonical")
 
 
 def success_rate(minions, confirmations, horizon, runs, label, **kwargs):
@@ -80,40 +132,59 @@ class TestRunAttack:
         assert not result.success
         assert result.fork_length == 0
 
-    def test_block_tree_well_formed(self):
-        for seed in range(8):
-            run = run_attack_detailed(make_config({0, 1}, seed=seed, horizon=400))
-            chain = run.chain
-            genesis = chain.blocks[0]
-            assert genesis.height == 0 and genesis.parent is None
-            children = set()
-            for block in chain.blocks.values():
-                if block.parent is not None:
-                    assert block.height == chain.blocks[block.parent].height + 1
-                    children.add(block.parent)
-            leaves = [b for b in chain.blocks.values() if b.id not in children]
-            tip = chain.blocks[chain.canonical_tip]
-            assert tip.id in {b.id for b in leaves}
-            assert tip.height == max(b.height for b in leaves)
+    def test_trace_heights_continuous(self):
+        for minions in ({0, 1}, {2}):
+            for seed in range(8):
+                run = run_attack_detailed(
+                    make_config(minions, seed=seed, horizon=400), record_trace=True
+                )
+                assert [row.slot for row in run.trace] == list(range(run.result.slots_elapsed))
+                canonical = [row.height for row in run.trace if row.chain == "canonical"]
+                fork = [row.height for row in run.trace if row.chain == "fork"]
+                assert canonical == list(range(1, len(canonical) + 1))
+                assert fork == list(range(1, len(fork) + 1))
+                assert len(fork) == run.result.fork_length
 
     def test_exactly_one_target_block(self):
-        run = run_attack_detailed(make_config({0, 1}, seed=3))
-        targets = [b for b in run.chain.blocks.values() if b.contains_target_tx]
-        assert len(targets) == 1
-        assert targets[0].id == run.chain.target_block
-        assert targets[0].height == 1
+        for seed in range(8):
+            run = run_attack_detailed(make_config({0, 1}, seed=seed), record_trace=True)
+            targets = [row for row in run.trace if row.event == "target"]
+            assert [(t.slot, t.chain, t.height) for t in targets] == [(0, "canonical", 1)]
 
     def test_successful_attack_reverts_target(self):
-        run = run_attack_detailed(make_config({0, 1}, seed=3))
+        run = run_attack_detailed(make_config({0, 1}, seed=3), record_trace=True)
         assert run.result.success
-        canonical_ids = {b.id for b in run.chain.canonical_chain()}
-        assert run.chain.target_block not in canonical_ids
+        # the fork is rooted at genesis, so every canonical block, the
+        # target at height 1 included, is reverted
+        assert run.result.reverted_blocks == canonical_height(run) >= 1
+        assert run.result.fork_length == run.result.reverted_blocks + 1
+        assert run.trace[-1].chain == "fork"
 
     def test_failed_attack_keeps_target_canonical(self):
-        run = run_attack_detailed(make_config({2}, confirmations=6, horizon=300, seed=3))
+        run = run_attack_detailed(
+            make_config({2}, confirmations=6, horizon=300, seed=3), record_trace=True
+        )
         assert not run.result.success
-        canonical_ids = {b.id for b in run.chain.canonical_chain()}
-        assert run.chain.target_block in canonical_ids
+        assert run.result.reverted_blocks == 0
+        # the honest chain, target at height 1 included, stays final
+        assert canonical_height(run) >= run.result.fork_length
+        assert sum(run.result.per_node_blocks_canonical.values()) == canonical_height(run)
+
+    def test_per_node_block_counts_cover_final_chain(self):
+        for minions, confirmations in (({0, 1}, 3), ({2}, 6)):
+            for seed in range(8):
+                run = run_attack_detailed(
+                    make_config(minions, confirmations=confirmations, horizon=300, seed=seed),
+                    record_trace=True,
+                )
+                result = run.result
+                counts = result.per_node_blocks_canonical
+                final_height = result.fork_length if result.success else canonical_height(run)
+                assert sum(counts.values()) == final_height
+                assert set(counts) == {0, 1, 2}
+
+    def test_race_grid_digest_pinned(self):
+        assert race_grid_digest() == RACE_GRID_DIGEST
 
     def test_trace_marks_target_and_trigger(self):
         run = run_attack_detailed(make_config({0, 1}, seed=3), record_trace=True)
@@ -121,13 +192,6 @@ class TestRunAttack:
         # one block per slot: the target reaches 3 confirmations at slot 2
         assert run.trace[2].event == "trigger"
         assert run.trace[-1].event == "success"
-
-    def test_per_node_block_counts_cover_final_chain(self):
-        run = run_attack_detailed(make_config({0, 1}, seed=9))
-        counts = run.result.per_node_blocks_canonical
-        chain_len = len(run.chain.canonical_chain()) - 1  # genesis has no producer
-        assert sum(counts.values()) == chain_len
-        assert set(counts) == {0, 1, 2}
 
 
 class TestCatchUpOracle:
@@ -272,6 +336,24 @@ class TestSimConfigValidation:
         config = make_config({0, 1}, seed=17)
         doc = sim_config_to_payload(config)
         assert sim_config_from_payload(doc) == config
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("minions", "01"),
+            ("minions", [0, True]),
+            ("confirmations", True),
+            ("confirmations", "3"),
+            ("horizon_slots", "abc"),
+            ("horizon_slots", Fraction(5)),
+            ("rng_seed", "7"),
+        ],
+    )
+    def test_integer_fields_named_on_bad_values(self, field, value):
+        doc = sim_config_to_payload(make_config({0, 1}))
+        doc[field] = value
+        with pytest.raises(ValueError, match=rf"^sim\.{field}\b"):
+            sim_config_from_payload(doc, rng_seed=0)
 
     def test_missing_field_named(self):
         doc = sim_config_to_payload(make_config({0, 1}))

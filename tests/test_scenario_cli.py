@@ -1,6 +1,9 @@
 """Tests for scenario loading, the batch runner, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +13,8 @@ from briberysim import ScenarioError, load_scenario, run_scenario
 from briberysim.cli import main
 from briberysim.scenario import TABLE_ARTIFACT_KINDS, report_json
 
-REPO_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+REPO_SCENARIOS = REPO_ROOT / "scenarios"
 
 P3_PARAMS = {
     "powers": ["2/5", "7/20", "1/4"],
@@ -27,7 +31,6 @@ P3_SIM = {
     "consensus": "pow_longest_chain",
     "confirmations": 3,
     "horizon_slots": 2000,
-    "block_reward": "1",
     "double_spend_value": "20",
 }
 
@@ -341,6 +344,37 @@ class TestCli:
         file = write_scenario(tmp_path, tasks=[])
         assert main(["sweep", str(file)]) == 2
         assert "no sweep task" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "task, field",
+        [
+            ({"kind": "chain_sim", "runs": 0}, "'runs'"),
+            ({"kind": "chain_sim", "runs": "5"}, "'runs'"),
+            ({"kind": "sweep", "grid": {}, "runs_per_cell": 0}, "'runs_per_cell'"),
+            ({"kind": "sweep", "grid": {}, "runs_per_cell": True}, "'runs_per_cell'"),
+            ({"kind": "sweep", "grid": {}, "consensus": "pos"}, "'consensus'"),
+        ],
+    )
+    def test_bad_run_options_exit_2_without_traceback(self, tmp_path, task, field):
+        file = write_scenario(tmp_path, tasks=[task])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "briberysim.cli", "verify", str(file)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert f"tasks[0] ({task['kind']})" in proc.stderr and field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_chain_sim_runs_flag_below_one_exits_2(self, tmp_path, capsys):
+        file = write_scenario(tmp_path, tasks=[{"kind": "chain_sim", "runs": 3}])
+        assert main(["chain-sim", str(file), "--runs", "0"]) == 2
+        assert "--runs must be >= 1" in capsys.readouterr().err
 
     def test_missing_scenario_file_exits_2(self, capsys):
         assert main(["verify", "does-not-exist.json"]) == 2
