@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .games import NodeId, PowerDistribution
-from .rational import format_rational, format_rational_list, parse_rational, parse_rational_list
+from .rational import format_rational, parse_bool, parse_int, parse_rational, parse_rational_list
 
 
 class ContractError(Exception):
@@ -59,7 +59,6 @@ class SettlementOutcome(Enum):
 class ContractConfig:
     expiration_time: int
     magnate_deposit: Fraction
-    malicious_protocol_id: str
     threshold_t: Fraction
     powers: PowerDistribution
 
@@ -90,19 +89,9 @@ class ContractState:
     phase: Phase
     order: Protocol
     minions: Mapping[NodeId, Fraction]  # committed deposits
-    rewarded: frozenset[NodeId]         # settled with a share of the magnate deposit
-    refunded: frozenset[NodeId]         # settled with a plain deposit refund
-    burned: frozenset[NodeId]           # settled by burning the deposit
-    ledger: Mapping[NodeId, Fraction]   # recorded payouts (0 for burns)
+    # how each settled minion settled, and its recorded payout (0 for burns)
+    settlements: Mapping[NodeId, tuple[SettlementOutcome, Fraction]]
     clock: int
-
-    @property
-    def distributed(self) -> frozenset[NodeId]:
-        return self.rewarded | self.refunded
-
-    @property
-    def settled(self) -> frozenset[NodeId]:
-        return self.rewarded | self.refunded | self.burned
 
     def committed_power(self) -> Fraction:
         return sum((self.config.powers[i] for i in self.minions), Fraction(0))
@@ -128,10 +117,7 @@ def contract_init(config: ContractConfig) -> ContractState:
         phase=Phase.OPEN,
         order=Protocol.HONEST,
         minions={},
-        rewarded=frozenset(),
-        refunded=frozenset(),
-        burned=frozenset(),
-        ledger={},
+        settlements={},
         clock=0,
     )
 
@@ -180,37 +166,24 @@ def contract_distribute(
     """
     if node not in state.minions:
         raise ContractError(f"distribute rejected: node {node} never committed")
-    if node in state.settled:
+    if node in state.settlements:
         raise ContractError(f"distribute rejected: node {node} already settled")
     executed = oracle.executed(node)
     deposit = state.minions[node]
 
     if state.order is Protocol.MALICIOUS and executed is Protocol.HONEST:
-        ledger = dict(state.ledger)
-        ledger[node] = Fraction(0)
-        new_state = replace(state, burned=state.burned | {node}, ledger=ledger)
-        return _maybe_settle(new_state), SettlementOutcome.BURNED
-
-    if oracle.attack_successful and executed is Protocol.MALICIOUS:
+        outcome, payout = SettlementOutcome.BURNED, Fraction(0)
+    elif oracle.attack_successful and executed is Protocol.MALICIOUS:
+        outcome = SettlementOutcome.PAID
         payout = state.config.powers[node] * state.config.magnate_deposit + deposit
-        ledger = dict(state.ledger)
-        ledger[node] = payout
-        new_state = replace(state, rewarded=state.rewarded | {node}, ledger=ledger)
-        return _maybe_settle(new_state), SettlementOutcome.PAID
+    elif not oracle.attack_successful and state.clock > state.config.expiration_time:
+        outcome, payout = SettlementOutcome.REFUNDED, deposit
+    else:
+        return state, SettlementOutcome.PENDING
 
-    if not oracle.attack_successful and state.clock > state.config.expiration_time:
-        ledger = dict(state.ledger)
-        ledger[node] = deposit
-        new_state = replace(state, refunded=state.refunded | {node}, ledger=ledger)
-        return _maybe_settle(new_state), SettlementOutcome.REFUNDED
-
-    return state, SettlementOutcome.PENDING
-
-
-def _maybe_settle(state: ContractState) -> ContractState:
-    if state.minions and state.settled == frozenset(state.minions):
-        return replace(state, phase=Phase.SETTLED)
-    return state
+    settlements = {**state.settlements, node: (outcome, payout)}
+    phase = Phase.SETTLED if len(settlements) == len(state.minions) else state.phase
+    return replace(state, settlements=settlements, phase=phase), outcome
 
 
 @dataclass(frozen=True)
@@ -254,12 +227,16 @@ def settlement_summary(state: ContractState) -> SettlementSummary:
     separately (they are destroyed, not returned). Together this balances
     exactly: payouts + burns + residual == D_m + all deposits.
     """
-    unsettled = set(state.minions) - set(state.settled)
+    unsettled = set(state.minions) - set(state.settlements)
     if unsettled:
         raise ContractError(f"unsettled minions remain: {sorted(unsettled)}")
-    payouts = {i: state.ledger[i] for i in sorted(state.distributed)}
-    burned = {i: state.minions[i] for i in sorted(state.burned)}
-    rewarded_power = sum((state.config.powers[i] for i in state.rewarded), Fraction(0))
+    settled = sorted(state.settlements.items())
+    payouts = {i: paid for i, (outcome, paid) in settled if outcome is not SettlementOutcome.BURNED}
+    burned = {i: state.minions[i] for i, (outcome, _) in settled if outcome is SettlementOutcome.BURNED}
+    rewarded_power = sum(
+        (state.config.powers[i] for i, (outcome, _) in settled if outcome is SettlementOutcome.PAID),
+        Fraction(0),
+    )
     residual = state.config.magnate_deposit * (1 - rewarded_power)
     return SettlementSummary(
         payouts=payouts,
@@ -277,36 +254,38 @@ def settlement_summary(state: ContractState) -> SettlementSummary:
 # One JSON object per line, "event" in {init, commit, advance_clock,
 # oracle_report, distribute}. An oracle_report line installs the report used
 # by subsequent distribute lines. Replaying a log reproduces the final state
-# exactly.
+# exactly. Unknown keys are ignored (old logs carry "malicious_protocol_id").
 
-def config_to_payload(config: ContractConfig) -> dict:
-    return {
-        "expiration_time": config.expiration_time,
-        "magnate_deposit": format_rational(config.magnate_deposit),
-        "malicious_protocol_id": config.malicious_protocol_id,
-        "threshold_t": format_rational(config.threshold_t),
-        "powers": format_rational_list(config.powers),
-    }
+def _field(doc: dict, key: str, parse):
+    if key not in doc:
+        raise ValueError(f"missing field '{key}'")
+    return parse(doc[key], key)
 
 
 def config_from_payload(doc: dict) -> ContractConfig:
-    for key in ("expiration_time", "magnate_deposit", "threshold_t", "powers"):
-        if key not in doc:
-            raise ValueError(f"contract config: missing field '{key}'")
     return ContractConfig(
-        expiration_time=int(doc["expiration_time"]),
-        magnate_deposit=parse_rational(doc["magnate_deposit"], "magnate_deposit"),
-        malicious_protocol_id=str(doc.get("malicious_protocol_id", "double-spend")),
-        threshold_t=parse_rational(doc["threshold_t"], "threshold_t"),
-        powers=PowerDistribution(parse_rational_list(doc["powers"], "powers")),
+        expiration_time=_field(doc, "expiration_time", parse_int),
+        magnate_deposit=_field(doc, "magnate_deposit", parse_rational),
+        threshold_t=_field(doc, "threshold_t", parse_rational),
+        powers=PowerDistribution(_field(doc, "powers", parse_rational_list)),
     )
 
 
 def oracle_from_payload(doc: dict) -> OracleReport:
-    executed = {
-        int(node): Protocol(value) for node, value in doc.get("executed_protocol", {}).items()
-    }
-    return OracleReport(attack_successful=bool(doc["attack_successful"]), executed_protocol=executed)
+    entries = doc.get("executed_protocol", {})
+    if not isinstance(entries, dict):
+        raise ValueError("executed_protocol: expected an object of node -> protocol")
+    executed = {}
+    for key, value in entries.items():
+        if not (key.isascii() and key.isdigit()):
+            raise ValueError(f"executed_protocol: key {key!r} is not a node index")
+        try:
+            executed[int(key)] = Protocol(value)
+        except ValueError:
+            raise ValueError(f"executed_protocol[{key!r}]: {value!r} is not a protocol") from None
+    return OracleReport(
+        attack_successful=_field(doc, "attack_successful", parse_bool), executed_protocol=executed
+    )
 
 
 @dataclass(frozen=True)
@@ -319,7 +298,11 @@ class ReplayResult:
 
 
 def replay_events(lines: Iterable[str]) -> ReplayResult:
-    """Replay a JSON-lines event log into a final contract state."""
+    """Replay a JSON-lines event log into a final contract state.
+
+    A malformed line raises ValueError naming the line and the field; a
+    transition the contract forbids raises ContractError.
+    """
     state: ContractState | None = None
     oracle: OracleReport | None = None
     outcomes: list[tuple[NodeId, SettlementOutcome]] = []
@@ -329,31 +312,35 @@ def replay_events(lines: Iterable[str]) -> ReplayResult:
             continue
         try:
             event = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ValueError(f"event log line {line_no}: invalid JSON: {exc}") from exc
-        kind = event.get("event")
-        if kind == "init":
-            if state is not None:
-                raise ValueError(f"event log line {line_no}: duplicate init")
-            state = contract_init(config_from_payload(event))
-            continue
-        if state is None:
-            raise ValueError(f"event log line {line_no}: {kind!r} before init")
-        if kind == "commit":
-            state = contract_commit(
-                state, int(event["node"]), parse_rational(event["deposit"], "deposit")
-            )
-        elif kind == "advance_clock":
-            state = advance_clock(state, int(event["to"]))
-        elif kind == "oracle_report":
-            oracle = oracle_from_payload(event)
-        elif kind == "distribute":
-            if oracle is None:
-                raise ValueError(f"event log line {line_no}: distribute before any oracle_report")
-            state, outcome = contract_distribute(state, int(event["node"]), oracle)
-            outcomes.append((int(event["node"]), outcome))
-        else:
-            raise ValueError(f"event log line {line_no}: unknown event {kind!r}")
+        try:
+            if not isinstance(event, dict):
+                raise ValueError("expected a JSON object")
+            kind = event.get("event")
+            if kind == "init":
+                if state is not None:
+                    raise ValueError("duplicate init")
+                state = contract_init(config_from_payload(event))
+            elif state is None:
+                raise ValueError(f"{kind!r} before init")
+            elif kind == "commit":
+                node = _field(event, "node", parse_int)
+                state = contract_commit(state, node, _field(event, "deposit", parse_rational))
+            elif kind == "advance_clock":
+                state = advance_clock(state, _field(event, "to", parse_int))
+            elif kind == "oracle_report":
+                oracle = oracle_from_payload(event)
+            elif kind == "distribute":
+                if oracle is None:
+                    raise ValueError("distribute before any oracle_report")
+                node = _field(event, "node", parse_int)
+                state, outcome = contract_distribute(state, node, oracle)
+                outcomes.append((node, outcome))
+            else:
+                raise ValueError(f"unknown event {kind!r}")
+        except ValueError as exc:
+            raise ValueError(f"event log line {line_no}: {exc}") from None
     if state is None:
         raise ValueError("event log contains no init event")
     return ReplayResult(final_state=state, outcomes=tuple(outcomes))

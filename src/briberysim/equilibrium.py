@@ -43,8 +43,6 @@ from .seeding import derive_seed
 
 ENUMERATION_LIMIT = 12  # 2^12 opponent profiles per node is the largest exhaustive scan
 
-THEOREM_IDS = ("T1", "T2", "T3", "T4")
-
 
 class EnumerationLimitError(ValueError):
     """Requested an exhaustive scan over more nodes than the configured cap."""
@@ -467,10 +465,20 @@ def _check_t3(params: GameParams) -> str | None:
     return None
 
 
+def _check_t2(params: GameParams) -> str | None:
+    bound = deposit_bound(params)
+    if not verify_deposit_bound(params, bound + 1).sufficient:
+        return f"deposit {format_rational(bound + 1)} above the bound judged insufficient"
+    if deposit_bound_attained(params) and verify_deposit_bound(params, bound).sufficient:
+        return f"bound {format_rational(bound)} is attained yet judged sufficient"
+    return None
+
+
 _CHECKS = {
     "T1": lambda params: _check_strict_nash(
         params, all_honest(params.n, Variant.NO_COLLUSION), "all-honest"
     ),
+    "T2": _check_t2,
     "T3": _check_t3,
     "T4": lambda params: _check_strict_nash(params, all_commit(params.n), "all-commit"),
 }
@@ -493,12 +501,14 @@ def verify_theorem(
 ) -> VerificationReport:
     """Check one equilibrium claim over randomly drawn valid parameter sets.
 
-    T1 checks all-honest strictness in the no-collusion game; T3 scans all
-    2^n - 1 deviating subsets in the collusion game (and that all-honest is
-    not strict there); T4 checks all-commit strictness. The report is a
-    pure function of (theorem, generator_seed, instances, n_range,
-    mutation): each instance draws from its own stream derived from the
-    seed and the instance index.
+    T1 checks all-honest strictness in the no-collusion game; T2 checks
+    that a deposit one above the deposit bound deters and that an attained
+    bound does not (the bound is exclusive); T3 scans all 2^n - 1 deviating
+    subsets in the collusion game (and that all-honest is not strict
+    there); T4 checks all-commit strictness. The report is a pure function
+    of (theorem, generator_seed, instances, n_range, mutation): each
+    instance draws from its own stream derived from the seed and the
+    instance index.
     """
     if theorem not in _CHECKS:
         raise ValueError(f"theorem must be one of {sorted(_CHECKS)}, got {theorem!r}")
@@ -525,43 +535,5 @@ def verify_deposit_theorem(
     instances: int,
     n_range: tuple[int, int] = (3, 8),
 ) -> VerificationReport:
-    """Randomized check of the deposit bound (T2).
-
-    For every instance, a deposit one unit above the bound must pass the
-    exhaustive 16-pair scan; when the bound coincides with the true largest
-    payoff gap, the bound itself must fail (witnessing that the bound is an
-    exclusive one).
-    """
-    _validate_verifier_args(instances, n_range)
-    for index in range(instances):
-        rng = random.Random(derive_seed(generator_seed, "instance", index))
-        params = random_game_params(rng, n_range)
-        bound = deposit_bound(params)
-        above = verify_deposit_bound(params, bound + 1)
-        if not above.sufficient:
-            return VerificationReport(
-                theorem="T2",
-                instances_tested=index + 1,
-                all_passed=False,
-                first_failure=TheoremFailure(
-                    index,
-                    params,
-                    f"deposit {format_rational(bound + 1)} above the bound judged insufficient",
-                ),
-            )
-        if deposit_bound_attained(params):
-            at_bound = verify_deposit_bound(params, bound)
-            if at_bound.sufficient:
-                return VerificationReport(
-                    theorem="T2",
-                    instances_tested=index + 1,
-                    all_passed=False,
-                    first_failure=TheoremFailure(
-                        index,
-                        params,
-                        f"bound {format_rational(bound)} is attained yet judged sufficient",
-                    ),
-                )
-    return VerificationReport(
-        theorem="T2", instances_tested=instances, all_passed=True, first_failure=None
-    )
+    """Randomized check of the deposit bound: `verify_theorem("T2", ...)`."""
+    return verify_theorem("T2", generator_seed, instances, n_range)

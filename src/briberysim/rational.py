@@ -41,6 +41,13 @@ def parse_int(value: object, field: str, minimum: int | None = None) -> int:
     return value
 
 
+def parse_bool(value: object, field: str) -> bool:
+    """Parse a JSON boolean; strings such as "false" and numbers are rejected."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{field}: expected a boolean, got {value!r}")
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical string form: "3", "2/5", "-63/20"."""
     return str(Fraction(value))

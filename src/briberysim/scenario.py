@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -32,6 +33,9 @@ from .chainsim import (
 )
 from .contract import replay_events
 from .equilibrium import (
+    MUTATIONS,
+    _check_t2,
+    _validate_verifier_args,
     check_weak_dominance_game1,
     deposit_bound,
     deposit_bound_attained,
@@ -45,22 +49,25 @@ from .games import (
     params_from_json_dict,
     validate_params,
 )
-from .rational import format_rational, parse_int, parse_rational
+from .rational import format_rational, parse_bool, parse_int, parse_rational
 from .seeding import derive_seed
 
 SCHEMA_VERSION = 1
 
-TASK_KINDS = (
-    "verify_t1",
-    "verify_t3",
-    "verify_t4",
-    "dominance",
-    "cascade",
-    "deposit_bound",
-    "contract_trace",
-    "chain_sim",
-    "sweep",
-)
+# the options each task kind accepts; any other key is a load error
+TASK_OPTIONS = {
+    "verify_t1": ("instances", "n_range", "mutation"),
+    "verify_t3": ("instances", "n_range", "mutation"),
+    "verify_t4": ("instances", "n_range", "mutation"),
+    "dominance": (),
+    "cascade": ("order",),
+    "deposit_bound": (),
+    "contract_trace": ("events",),
+    "chain_sim": ("runs", "trace"),
+    "sweep": ("grid", "runs_per_cell", "horizon_slots", "consensus", "max_cells"),
+}
+TASK_KINDS = tuple(TASK_OPTIONS)
+SWEEP_AXES = ("d_m", "minion_share", "confirmations", "t")
 
 DEFAULT_INSTANCES = {"verify_t1": 1000, "verify_t3": 500, "verify_t4": 1000}
 DEFAULT_SWEEP_CELL_CAP = 512
@@ -143,7 +150,7 @@ def load_scenario(path: str | Path) -> Scenario:
         )
     if "name" not in doc or not isinstance(doc["name"], str):
         raise ScenarioError(f"scenario {path}: missing string field 'name'")
-    if "seed" not in doc or not isinstance(doc["seed"], int):
+    if not isinstance(doc.get("seed"), int) or isinstance(doc["seed"], bool):
         raise ScenarioError(f"scenario {path}: missing integer field 'seed'")
 
     params = None
@@ -198,35 +205,96 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def _check_task_inputs(scenario: Scenario) -> None:
     for index, task in enumerate(scenario.tasks):
-        where = f"tasks[{index}] ({task.kind})"
-        if task.kind in ("dominance", "cascade", "deposit_bound") and scenario.params is None:
-            raise ScenarioError(f"{where}: scenario has no 'params' section")
-        if task.kind in ("chain_sim",) and scenario.sim_payload is None:
-            raise ScenarioError(f"{where}: scenario has no 'sim' section")
-        if task.kind == "cascade":
-            order = task.options.get("order")
-            if not isinstance(order, list) or not all(isinstance(i, int) for i in order):
-                raise ScenarioError(f"{where}: 'order' must be an array of node indices")
-        if task.kind == "contract_trace":
-            events = task.options.get("events")
-            if not isinstance(events, str):
-                raise ScenarioError(f"{where}: 'events' must be a path string")
-            if not (scenario.base_dir / events).exists():
-                raise ScenarioError(f"{where}: events file not found: {events}")
-        if task.kind == "sweep":
-            grid = task.options.get("grid")
-            if not isinstance(grid, dict):
-                raise ScenarioError(f"{where}: 'grid' must be an object of axis arrays")
-            consensus = task.options.get("consensus", Consensus.POW_LONGEST_CHAIN.value)
-            values = [c.value for c in Consensus]
-            if consensus not in values:
-                raise ScenarioError(f"{where}: 'consensus' {consensus!r} is not one of {values}")
-        count_key = {"chain_sim": "runs", "sweep": "runs_per_cell"}.get(task.kind)
-        if count_key in task.options:
-            try:
-                parse_int(task.options[count_key], f"{where}: '{count_key}'", minimum=1)
-            except ValueError as exc:
-                raise ScenarioError(str(exc)) from None
+        try:
+            _check_options(scenario, task)
+        except ValueError as exc:
+            raise ScenarioError(f"tasks[{index}] ({task.kind}): {exc}") from None
+
+
+def _check_options(scenario: Scenario, task: TaskSpec) -> None:
+    opts = task.options
+    known = TASK_OPTIONS[task.kind]
+    unknown = sorted(set(opts) - set(known))
+    if unknown:
+        raise ValueError(f"unknown option {unknown[0]!r}; options: {list(known)}")
+    if task.kind in ("dominance", "cascade", "deposit_bound") and scenario.params is None:
+        raise ValueError("scenario has no 'params' section")
+    if task.kind == "chain_sim" and scenario.sim_payload is None:
+        raise ValueError("scenario has no 'sim' section")
+    if task.kind in DEFAULT_INSTANCES:
+        _verify_options(task)
+    elif task.kind == "cascade":
+        order = opts.get("order")
+        if not isinstance(order, list):
+            raise ValueError("'order' must be an array of node indices")
+        for node in order:
+            parse_int(node, "'order'")
+    elif task.kind == "contract_trace":
+        events = opts.get("events")
+        if not isinstance(events, str):
+            raise ValueError("'events' must be a path string")
+        if not (scenario.base_dir / events).exists():
+            raise ValueError(f"events file not found: {events}")
+    elif task.kind == "chain_sim":
+        _chain_sim_options(opts)
+    elif task.kind == "sweep":
+        _sweep_options(opts)
+
+
+def _verify_options(task: TaskSpec) -> tuple[int, tuple[int, int], str | None]:
+    """`instances`, `n_range` and `mutation` of a verify_t* task."""
+    opts = task.options
+    instances = parse_int(opts.get("instances", DEFAULT_INSTANCES[task.kind]), "'instances'")
+    n_range = opts.get("n_range", [3, 8])
+    if not isinstance(n_range, list) or len(n_range) != 2:
+        raise ValueError(f"'n_range': expected [n_min, n_max], got {n_range!r}")
+    n_range = tuple(parse_int(n, "'n_range'") for n in n_range)
+    _validate_verifier_args(instances, n_range)
+    mutation = opts.get("mutation")
+    if mutation is not None and mutation not in MUTATIONS:
+        raise ValueError(f"'mutation' {mutation!r} is not one of {list(MUTATIONS)}")
+    return instances, n_range, mutation
+
+
+def _chain_sim_options(opts: dict) -> tuple[int, bool]:
+    """`runs` and `trace` of a chain_sim task."""
+    runs = parse_int(opts.get("runs", 1), "'runs'", minimum=1)
+    return runs, parse_bool(opts.get("trace", False), "'trace'")
+
+
+def _sweep_options(opts: dict) -> tuple[list[tuple], int, int, Consensus]:
+    """The cells (d_m, minion_share, confirmations, t) and run settings of a sweep."""
+    grid = opts.get("grid")
+    if not isinstance(grid, dict):
+        raise ValueError("'grid' must be an object of axis arrays")
+    unknown = sorted(set(grid) - set(SWEEP_AXES))
+    if unknown:
+        raise ValueError(f"unknown grid axis {unknown[0]!r}; axes: {list(SWEEP_AXES)}")
+
+    def axis(key: str, default: list, parse) -> list:
+        values = grid.get(key, default)
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"sweep grid axis '{key}' must be a non-empty array")
+        return [parse(v, f"grid.{key}") for v in values]
+
+    cells = list(
+        itertools.product(
+            axis("d_m", ["9"], parse_rational),
+            axis("minion_share", ["3/4"], parse_rational),
+            axis("confirmations", [3], lambda v, field: parse_int(v, field, minimum=1)),
+            axis("t", ["1/2"], parse_rational),
+        )
+    )
+    cap = parse_int(opts.get("max_cells", DEFAULT_SWEEP_CELL_CAP), "'max_cells'", minimum=1)
+    if len(cells) > cap:
+        raise ValueError(f"sweep has {len(cells)} cells, exceeding the cap 'max_cells' = {cap}")
+    runs_per_cell = parse_int(opts.get("runs_per_cell", 100), "'runs_per_cell'", minimum=1)
+    horizon = parse_int(opts.get("horizon_slots", 2000), "'horizon_slots'", minimum=1)
+    consensus = opts.get("consensus", Consensus.POW_LONGEST_CHAIN.value)
+    values = [c.value for c in Consensus]
+    if consensus not in values:
+        raise ValueError(f"'consensus' {consensus!r} is not one of {values}")
+    return cells, runs_per_cell, horizon, Consensus(consensus)
 
 
 @dataclass(frozen=True)
@@ -367,9 +435,7 @@ def _run_task(
 
     if task.kind in ("verify_t1", "verify_t3", "verify_t4"):
         theorem = task.kind.removeprefix("verify_").upper()
-        instances = int(opts.get("instances", DEFAULT_INSTANCES[task.kind]))
-        n_range = tuple(opts.get("n_range", (3, 8)))
-        mutation = opts.get("mutation")
+        instances, n_range, mutation = _verify_options(task)
         verification = verify_theorem(theorem, task_seed, instances, n_range, mutation=mutation)
         return TaskResult(task.kind, index, verification.all_passed, verification.to_payload())
 
@@ -386,18 +452,14 @@ def _run_task(
     if task.kind == "deposit_bound":
         params = scenario.require_params(task.kind)
         bound = deposit_bound(params)
-        above = verify_deposit_bound(params, bound + 1)
-        attained = deposit_bound_attained(params)
-        at_bound = verify_deposit_bound(params, bound)
-        passed = above.sufficient and (not attained or not at_bound.sufficient)
         payload = {
             "deposit_bound": format_rational(bound),
             "bound_is_exclusive": True,
-            "bound_attained": attained,
-            "check_above_bound": above.to_payload(),
-            "check_at_bound": at_bound.to_payload(),
+            "bound_attained": deposit_bound_attained(params),
+            "check_above_bound": verify_deposit_bound(params, bound + 1).to_payload(),
+            "check_at_bound": verify_deposit_bound(params, bound).to_payload(),
         }
-        return TaskResult(task.kind, index, passed, payload)
+        return TaskResult(task.kind, index, _check_t2(params) is None, payload)
 
     if task.kind == "contract_trace":
         events_path = scenario.base_dir / opts["events"]
@@ -413,7 +475,7 @@ def _run_task(
         return TaskResult(task.kind, index, summary.conservation_holds(), payload)
 
     if task.kind == "chain_sim":
-        runs = opts.get("runs", 1)
+        runs, trace = _chain_sim_options(opts)
         # stream 0 of the sim-run seed space; sweep cell c uses stream c, so a
         # single-cell sweep reproduces a direct chain_sim task exactly
         cfg_index = 0
@@ -422,12 +484,12 @@ def _run_task(
         artifacts: list[str] = []
         for run_index in range(runs):
             config = scenario.sim_config(derive_seed(seed, "sim-run", cfg_index, run_index))
-            detail = run_attack_detailed(config, record_trace=bool(opts.get("trace")) and run_index == 0)
+            detail = run_attack_detailed(config, record_trace=trace and run_index == 0)
             if detail.result.success:
                 successes += 1
             if run_index == 0:
                 first_payload = detail.result.to_payload()
-                if opts.get("trace") and out is not None:
+                if trace and out is not None:
                     buffer = io.StringIO()
                     trace_to_csv(detail.trace, buffer)
                     name = f"chain_trace_{index}.csv"
@@ -453,42 +515,12 @@ def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int) -> Tas
 
     Each cell synthesizes a 4-node network (two minions and two honest
     nodes splitting their sides evenly, so no single node reaches the
-    threshold for any share in (0, 1)), runs seeded attack simulations, and
-    derives the bribed reward vector and deposit bound. Cells whose derived
-    parameters violate an assumption are recorded as rejected rows.
+    threshold for any share in (0, 1)) with rewards r_h = 2, r_d = -1,
+    r_dp = -3 and r_m = r_h + v_i * d_m, runs seeded attack simulations,
+    and derives the bribed reward vector and deposit bound. Cells whose
+    derived parameters violate an assumption are recorded as rejected rows.
     """
-    opts = task.options
-    grid = opts["grid"]
-
-    def axis(key: str, default: list) -> list:
-        values = grid.get(key, default)
-        if not isinstance(values, list) or not values:
-            raise ScenarioError(f"sweep grid axis '{key}' must be a non-empty array")
-        return values
-
-    d_m_axis = [parse_rational(v, "grid.d_m") for v in axis("d_m", ["9"])]
-    share_axis = [parse_rational(v, "grid.minion_share") for v in axis("minion_share", ["3/4"])]
-    conf_axis = [int(v) for v in axis("confirmations", [3])]
-    t_axis = [parse_rational(v, "grid.t") for v in axis("t", ["1/2"])]
-
-    runs_per_cell = opts.get("runs_per_cell", 100)
-    horizon = int(opts.get("horizon_slots", 2000))
-    consensus = Consensus(opts.get("consensus", "pow_longest_chain"))
-    r_h = parse_rational(opts.get("r_h", 2), "sweep.r_h")
-    r_d = parse_rational(opts.get("r_d", -1), "sweep.r_d")
-    r_dp = parse_rational(opts.get("r_dp", -3), "sweep.r_dp")
-    cap = int(opts.get("max_cells", DEFAULT_SWEEP_CELL_CAP))
-
-    cells = [
-        (d_m, share, conf, t)
-        for d_m in d_m_axis
-        for share in share_axis
-        for conf in conf_axis
-        for t in t_axis
-    ]
-    if len(cells) > cap:
-        raise ScenarioError(f"sweep has {len(cells)} cells, exceeding the cap {cap}")
-
+    cells, runs_per_cell, horizon, consensus = _sweep_options(task.options)
     rows: list[dict] = []
     for cell_index, (d_m, share, conf, t) in enumerate(cells):
         row: dict = {
@@ -506,10 +538,10 @@ def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int) -> Tas
         candidate = GameParams(
             powers=powers,
             threshold_t=t,
-            reward_honest=(r_h,) * 4,
-            reward_deviant_vs_honest=(r_d,) * 4,
-            reward_malicious=tuple(r_h + p * d_m for p in powers),
-            reward_deviant_vs_malicious=(r_dp,) * 4,
+            reward_honest=(2,) * 4,
+            reward_deviant_vs_honest=(-1,) * 4,
+            reward_malicious=tuple(2 + p * d_m for p in powers),
+            reward_deviant_vs_malicious=(-3,) * 4,
         )
         violations = validate_params(candidate)
         if violations:

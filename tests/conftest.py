@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from briberysim import GameParams
+
+# every run of the suite draws the same examples, and none fails on timing
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -48,7 +48,6 @@ def random_contract_session(rng: random.Random, force_no_trigger: bool = False) 
     config = ContractConfig(
         expiration_time=expiration,
         magnate_deposit=Fraction(rng.randint(1, 40), rng.randint(1, 4)),
-        malicious_protocol_id="double-spend",
         threshold_t=threshold,
         powers=powers,
     )

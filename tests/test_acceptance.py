@@ -155,7 +155,7 @@ def test_c7_commitment_risk_free_without_order():
         session = random_contract_session(rng, force_no_trigger=True)
         runs += 1
         if all(
-            session.final_state.ledger[node] == deposit
+            session.final_state.settlements[node][1] == deposit
             for node, deposit in session.deposits.items()
         ):
             exact_refunds += 1

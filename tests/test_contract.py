@@ -22,6 +22,7 @@ from briberysim import (
     replay_events,
     settlement_summary,
 )
+from briberysim.cli import main
 from helpers import random_contract_session
 
 P3_POWERS = PowerDistribution(("2/5", "7/20", "1/4"))
@@ -31,7 +32,6 @@ def p3_config(magnate_deposit="9", expiration=100) -> ContractConfig:
     return ContractConfig(
         expiration_time=expiration,
         magnate_deposit=Fraction(magnate_deposit),
-        malicious_protocol_id="double-spend",
         threshold_t=Fraction(1, 2),
         powers=P3_POWERS,
     )
@@ -54,7 +54,7 @@ class TestInit:
             contract_init(p3_config(expiration=0))
 
     def test_unnormalized_powers_rejected(self):
-        config = ContractConfig(100, Fraction(9), "x", Fraction(1, 2), PowerDistribution(("1/2", "1/4")))
+        config = ContractConfig(100, Fraction(9), Fraction(1, 2), PowerDistribution(("1/2", "1/4")))
         with pytest.raises(ContractError, match="powers"):
             contract_init(config)
 
@@ -73,7 +73,7 @@ class TestCommit:
 
     def test_power_exactly_at_threshold_does_not_trigger(self):
         powers = PowerDistribution(("1/2", "1/4", "1/4"))
-        config = ContractConfig(100, Fraction(9), "x", Fraction(1, 2), powers)
+        config = ContractConfig(100, Fraction(9), Fraction(1, 2), powers)
         state = contract_commit(contract_init(config), 0, Fraction(9))
         assert state.order is Protocol.HONEST  # 1/2 == t is not enough
 
@@ -126,7 +126,7 @@ class TestDistribute:
         oracle = OracleReport(True, {0: Protocol.MALICIOUS, 1: Protocol.MALICIOUS})
         state, outcome = contract_distribute(_ordered_state(), 0, oracle)
         assert outcome is SettlementOutcome.PAID
-        assert state.ledger[0] == Fraction(63, 5)  # (2/5)*9 + 9
+        assert state.settlements[0][1] == Fraction(63, 5)  # (2/5)*9 + 9
 
     def test_refund_after_expiration_when_never_triggered(self):
         state = contract_commit(contract_init(p3_config()), 0, Fraction(9))
@@ -134,14 +134,14 @@ class TestDistribute:
         oracle = OracleReport(False, {0: Protocol.HONEST})
         state, outcome = contract_distribute(state, 0, oracle)
         assert outcome is SettlementOutcome.REFUNDED
-        assert state.ledger[0] == 9
+        assert state.settlements[0][1] == 9
 
     def test_defector_burned(self):
         oracle = OracleReport(True, {0: Protocol.HONEST, 1: Protocol.MALICIOUS})
         state, outcome = contract_distribute(_ordered_state(), 0, oracle)
         assert outcome is SettlementOutcome.BURNED
-        assert state.ledger[0] == 0
-        assert 0 in state.burned
+        assert state.settlements[0][1] == 0
+        assert state.settlements[0][0] is SettlementOutcome.BURNED
 
     def test_pending_while_attack_unresolved(self):
         # ordered, not yet successful, not expired: nothing recorded
@@ -243,7 +243,7 @@ class TestRandomizedProperties:
             assert session.final_state.order is Protocol.HONEST
             for node, deposit in session.deposits.items():
                 assert session.outcomes[node] is SettlementOutcome.REFUNDED
-                assert session.final_state.ledger[node] == deposit
+                assert session.final_state.settlements[node][1] == deposit
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
@@ -291,6 +291,37 @@ class TestEventLogReplay:
         ]
         with pytest.raises(ValueError, match="before any oracle_report"):
             replay_events(lines)
+
+    @pytest.mark.parametrize(
+        "line_no, line, field",
+        [
+            (1, '{"event": "init", "expiration_time": 100.5, "magnate_deposit": "9",'
+                ' "threshold_t": "1/2", "powers": ["2/5", "7/20", "1/4"]}', "expiration_time"),
+            (2, '{"event": "commit", "node": true, "deposit": "9"}', "node"),
+            (2, '{"event": "commit", "node": "0", "deposit": "9"}', "node"),
+            (2, '{"event": "commit", "deposit": "9"}', "'node'"),
+            (2, '[0, "commit"]', "JSON object"),
+            (4, '{"event": "advance_clock", "to": "10"}', "to"),
+            (5, '{"event": "oracle_report", "attack_successful": "false",'
+                ' "executed_protocol": {"0": "malicious", "1": "malicious"}}', "attack_successful"),
+            (5, '{"event": "oracle_report", "executed_protocol": {"0": "malicious"}}',
+                "'attack_successful'"),
+            (5, '{"event": "oracle_report", "attack_successful": true,'
+                ' "executed_protocol": {"0x": "malicious", "1": "malicious"}}', "executed_protocol"),
+            (6, '{"event": "distribute", "node": 0.0}', "node"),
+        ],
+    )
+    def test_malformed_field_exits_2_naming_line_and_field(
+        self, tmp_path, capsys, line_no, line, field
+    ):
+        fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
+        lines = fixture.read_text(encoding="utf-8").splitlines()
+        lines[line_no - 1] = line
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["contract-trace", str(events)]) == 2
+        err = capsys.readouterr().err
+        assert f"event log line {line_no}: " in err and field in err
 
     def test_unknown_event_rejected(self):
         lines = ['{"event": "frobnicate"}']

@@ -23,12 +23,15 @@ from briberysim import (
     verify_deposit_theorem,
     verify_theorem,
 )
+from briberysim import equilibrium
 from briberysim.equilibrium import (
     MUTATION_DEVIANT_REWARD_ABOVE_HONEST,
+    DepositCheck,
     EnumerationLimitError,
     _check_t3,
     deposit_bound_attained,
 )
+from briberysim.rational import format_rational
 from briberysim.scenario import TaskResult, table_csv
 
 H, C = Strategy.HONEST, Strategy.COMMIT
@@ -188,6 +191,25 @@ class TestVerifyTheorem:
 
     def test_t2_passes(self):
         assert verify_deposit_theorem(123, 150).all_passed
+
+    @pytest.mark.parametrize("sufficient", [True, False])
+    def test_t2_can_fail(self, monkeypatch, sufficient):
+        # an oracle that judges every deposit sufficient must trip the
+        # attained-bound check; one that judges none sufficient, the check
+        # one unit above the bound
+        def judge(params, deposit):
+            return DepositCheck(sufficient, None, 0)
+
+        monkeypatch.setattr(equilibrium, "verify_deposit_bound", judge)
+        for report in (verify_theorem("T2", 123, 150), verify_deposit_theorem(123, 150)):
+            failure = report.first_failure
+            assert not report.all_passed and failure is not None
+            bound = deposit_bound(failure.params)
+            if sufficient:
+                expected = f"bound {format_rational(bound)} is attained yet judged sufficient"
+            else:
+                expected = f"deposit {format_rational(bound + 1)} above the bound judged insufficient"
+            assert failure.description == expected
 
     def test_same_seed_same_report(self):
         assert verify_theorem("T3", 99, 40) == verify_theorem("T3", 99, 40)

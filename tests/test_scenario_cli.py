@@ -90,6 +90,11 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(file)
 
+    def test_boolean_seed_rejected(self, tmp_path):
+        file = write_scenario(tmp_path, seed=True)
+        with pytest.raises(ScenarioError, match="'seed'"):
+            load_scenario(file)
+
     def test_bad_schema_version(self, tmp_path):
         file = write_scenario(tmp_path, schema_version=2)
         with pytest.raises(ScenarioError, match="schema_version"):
@@ -353,6 +358,18 @@ class TestCli:
             ({"kind": "sweep", "grid": {}, "runs_per_cell": 0}, "'runs_per_cell'"),
             ({"kind": "sweep", "grid": {}, "runs_per_cell": True}, "'runs_per_cell'"),
             ({"kind": "sweep", "grid": {}, "consensus": "pos"}, "'consensus'"),
+            ({"kind": "sweep", "grid": {}, "horizon_slots": "abc"}, "'horizon_slots'"),
+            ({"kind": "sweep", "grid": {}, "horizon_slots": True}, "'horizon_slots'"),
+            ({"kind": "sweep", "grid": {}, "max_cells": "abc"}, "'max_cells'"),
+            ({"kind": "sweep", "grid": {"confirmations": ["x"]}}, "grid.confirmations"),
+            ({"kind": "sweep", "grid": {"t": ["1/2", "3/5"]}, "max_cells": 1}, "'max_cells'"),
+            ({"kind": "sweep", "grid": {}, "r_h": 3}, "'r_h'"),
+            ({"kind": "verify_t1", "instances": "5"}, "'instances'"),
+            ({"kind": "verify_t1", "instance": 5}, "'instance'"),
+            ({"kind": "verify_t1", "n_range": [3]}, "'n_range'"),
+            ({"kind": "verify_t1", "mutation": "typo"}, "'mutation'"),
+            ({"kind": "chain_sim", "trace": "no"}, "'trace'"),
+            ({"kind": "cascade", "order": [True, 0]}, "'order'"),
         ],
     )
     def test_bad_run_options_exit_2_without_traceback(self, tmp_path, task, field):
