@@ -12,8 +12,9 @@ randomly generated valid parameter sets:
   not strict: a lone deviator always breaks even).
 * T4: in the collusion game, all-commit is a strict Nash equilibrium.
 
-Everything here is exact Fraction arithmetic; profile scans are exhaustive
-(2^n subsets), which caps enumeration at small n.
+Everything here is exact: threshold tests compare the integer weights of
+`GameParams`, rewards are Fractions. Profile scans are exhaustive (2^n
+subsets), which caps enumeration at small n.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .games import (
     StrategyProfile,
     Variant,
     _payoff_rule,
+    _weight_split,
     all_commit,
     all_honest,
     opposing_strategy,
@@ -87,22 +89,26 @@ def is_strict_nash(params: GameParams, profile: StrategyProfile) -> NashReport:
 
     Strict means every unilateral flip strictly lowers the deviator's
     payoff; a flip that merely breaks even is already a counterexample.
+    A flip moves one node's weight across the power split.
     """
-    base = payoff_vector(params, profile)
+    variant = profile.variant
+    w_h, w_opposing = _weight_split(params, profile)
+    honest, opposing = _payoff_rule(params, variant, w_h, w_opposing)
     checked = 1
-    for node in range(profile.n):
-        flipped_strategy = (
-            opposing_strategy(profile.variant)
-            if profile.choices[node] is Strategy.HONEST
-            else Strategy.HONEST
-        )
-        flipped = profile.with_choice(node, flipped_strategy)
-        after = utility(params, flipped, node)
+    for node, (choice, w) in enumerate(zip(profile.choices, params.weights)):
         checked += 1
-        if after >= base[node]:
+        if choice is Strategy.HONEST:
+            before = honest[node]
+            flipped_strategy = opposing_strategy(variant)
+            after = _payoff_rule(params, variant, w_h - w, w_opposing + w)[1][node]
+        else:
+            before = opposing[node]
+            flipped_strategy = Strategy.HONEST
+            after = _payoff_rule(params, variant, w_h + w, w_opposing - w)[0][node]
+        if after >= before:
             return NashReport(
                 is_strict_nash=False,
-                counterexample=Deviation(node, flipped_strategy, base[node], after),
+                counterexample=Deviation(node, flipped_strategy, before, after),
                 profiles_checked=checked,
             )
     return NashReport(is_strict_nash=True, counterexample=None, profiles_checked=checked)
@@ -218,6 +224,13 @@ class CascadeTrace:
         }
 
 
+def _validate_order(order: Sequence[NodeId], n: int) -> tuple[NodeId, ...]:
+    order = tuple(order)
+    if len(set(order)) != len(order) or any(i < 0 or i >= n for i in order):
+        raise ValueError(f"order {order!r} is not a permutation of node indices (n = {n})")
+    return order
+
+
 def find_deviation_cascade(params: GameParams, order: Sequence[NodeId]) -> CascadeTrace:
     """Flip nodes from honest to committed in `order`, recording payoffs.
 
@@ -227,10 +240,7 @@ def find_deviation_cascade(params: GameParams, order: Sequence[NodeId]) -> Casca
     profile.
     """
     n = params.n
-    order = tuple(order)
-    if len(set(order)) != len(order) or any(i < 0 or i >= n for i in order):
-        raise ValueError(f"order {order!r} is not a permutation of node indices (n = {n})")
-
+    order = _validate_order(order, n)
     profile = all_honest(n, Variant.COLLUSION)
     previous = payoff_vector(params, profile)
     initial = previous
@@ -345,7 +355,8 @@ def verify_deposit_bound(params: GameParams, deposit: Fraction) -> DepositCheck:
 # --- Random instance generation -------------------------------------------
 
 MUTATION_DEVIANT_REWARD_ABOVE_HONEST = "deviant_reward_above_honest"
-MUTATIONS = (MUTATION_DEVIANT_REWARD_ABOVE_HONEST,)
+MUTATION_MALICIOUS_REWARD_BELOW_HONEST = "malicious_reward_below_honest"
+MUTATIONS = (MUTATION_DEVIANT_REWARD_ABOVE_HONEST, MUTATION_MALICIOUS_REWARD_BELOW_HONEST)
 
 
 def random_game_params(
@@ -359,9 +370,10 @@ def random_game_params(
 
     Powers come from normalized positive random integers, redrawn until no
     node reaches the threshold; rewards are integers repaired to satisfy
-    the ordering constraints. `mutation` deliberately breaks one repair
-    (currently: draw r_d above r_h, so honest-protocol deviation pays),
-    for verifying that the theorem checkers can fail.
+    the ordering constraints. `mutation` deliberately breaks one repair,
+    for verifying that the theorem checkers can fail: r_d above r_h
+    (deviating from the honest protocol pays; breaks T1) or r_m below r_h
+    (the bribed protocol pays less; breaks T3 and T4).
     """
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}; known: {MUTATIONS}")
@@ -370,22 +382,20 @@ def random_game_params(
     while True:
         weights = [rng.randint(1, power_scale) for _ in range(n)]
         total = sum(weights)
-        powers = tuple(Fraction(w, total) for w in weights)
-        # t in [1/2, 3/4], granularity 1/20
-        threshold = Fraction(1, 2) + Fraction(rng.randint(0, 5), 20)
-        if all(p < threshold for p in powers):
+        # t = t20/20 in [1/2, 3/4]; every power w/total must stay below it
+        t20 = 10 + rng.randint(0, 5)
+        if 20 * max(weights) < t20 * total:
             break
 
-    r_h = [Fraction(rng.randint(1, reward_scale)) for _ in range(n)]
-    if mutation == MUTATION_DEVIANT_REWARD_ABOVE_HONEST:
-        r_d = [r_h[i] + rng.randint(1, reward_scale) for i in range(n)]
-    else:
-        r_d = [r_h[i] - rng.randint(1, reward_scale) for i in range(n)]
-    r_m = [r_h[i] + rng.randint(1, reward_scale) for i in range(n)]
+    r_h = [rng.randint(1, reward_scale) for _ in range(n)]
+    d_sign = 1 if mutation == MUTATION_DEVIANT_REWARD_ABOVE_HONEST else -1
+    r_d = [r_h[i] + d_sign * rng.randint(1, reward_scale) for i in range(n)]
+    m_sign = -1 if mutation == MUTATION_MALICIOUS_REWARD_BELOW_HONEST else 1
+    r_m = [r_h[i] + m_sign * rng.randint(1, reward_scale) for i in range(n)]
     r_dp = [r_m[i] - rng.randint(1, 2 * reward_scale) for i in range(n)]
     return GameParams(
-        powers=PowerDistribution(powers),
-        threshold_t=threshold,
+        powers=PowerDistribution(tuple(Fraction(w, total) for w in weights)),
+        threshold_t=Fraction(t20, 20),
         reward_honest=tuple(r_h),
         reward_deviant_vs_honest=tuple(r_d),
         reward_malicious=tuple(r_m),
@@ -441,24 +451,31 @@ def _check_strict_nash(params: GameParams, profile: StrategyProfile, label: str)
 def _check_t3(params: GameParams) -> str | None:
     n = params.n
     full = (1 << n) - 1
-    # subset power sums via the lowest-set-bit recurrence; the honest side
+    r_h = params.reward_honest
+    # subset weight sums via the lowest-set-bit recurrence; the honest side
     # of a deviating subset is its complement
-    subset_power = [Fraction(0)] * (1 << n)
+    subset_weight = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
-        subset_power[mask] = subset_power[mask ^ low] + params.powers[low.bit_length() - 1]
+        subset_weight[mask] = subset_weight[mask ^ low] + params.weights[low.bit_length() - 1]
+    # bitmask of the nodes that earn below r_h, once per reward tuple the
+    # rule returns (keyed by identity; the tuple is kept so its id stays unique)
+    below_by_id: dict[int, tuple[tuple[Fraction, ...], int]] = {}
     for mask in range(1, 1 << n):
         _, committed = _payoff_rule(
-            params, Variant.COLLUSION, subset_power[full ^ mask], subset_power[mask]
+            params, Variant.COLLUSION, subset_weight[full ^ mask], subset_weight[mask]
         )
-        for i in range(n):
-            if not mask >> i & 1:
-                continue
-            if committed[i] < params.reward_honest[i]:
-                return (
-                    f"deviating subset {mask:#x}: node {i} earns {format_rational(committed[i])} < "
-                    f"honest reward {format_rational(params.reward_honest[i])}"
-                )
+        entry = below_by_id.get(id(committed))
+        if entry is None:
+            below = sum(1 << i for i in range(n) if committed[i] < r_h[i])
+            entry = below_by_id[id(committed)] = (committed, below)
+        losers = mask & entry[1]
+        if losers:
+            i = (losers & -losers).bit_length() - 1
+            return (
+                f"deviating subset {mask:#x}: node {i} earns {format_rational(committed[i])} < "
+                f"honest reward {format_rational(r_h[i])}"
+            )
     nash = is_strict_nash(params, all_honest(n, Variant.COLLUSION))
     if nash.is_strict_nash:
         return "all-honest is strict in the collusion game, but a lone deviator must break even"

@@ -30,12 +30,15 @@ messages and scenario errors:
 5. 1/2 <= t < 1 and no single node reaches t on its own.
 
 All comparisons against t are strict and exact: power sums landing exactly
-on t count as "not enough", which is why every quantity is a Fraction.
+on t count as "not enough". Quantities are Fractions at the API and in JSON;
+internally the payoff rule compares integer weights (powers and t scaled by
+their common denominator), which decide every threshold test identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
@@ -125,9 +128,18 @@ class GameParams:
     reward_deviant_vs_honest: tuple[Fraction, ...]
     reward_malicious: tuple[Fraction, ...]
     reward_deviant_vs_malicious: tuple[Fraction, ...]
+    # powers and t as integers over their common denominator
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    t_weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "threshold_t", Fraction(self.threshold_t))
+        t = Fraction(self.threshold_t)
+        object.__setattr__(self, "threshold_t", t)
+        scale = math.lcm(t.denominator, *(p.denominator for p in self.powers))
+        object.__setattr__(
+            self, "weights", tuple(p.numerator * (scale // p.denominator) for p in self.powers)
+        )
+        object.__setattr__(self, "t_weight", t.numerator * (scale // t.denominator))
         for name in (
             "reward_honest",
             "reward_deviant_vs_honest",
@@ -344,11 +356,19 @@ def aggregate_powers(profile: StrategyProfile, powers: PowerDistribution) -> Agg
     return AggregatePowers(v_h=v_h, v_opposing=v_opposing)
 
 
+def _weight_split(params: GameParams, profile: StrategyProfile) -> tuple[int, int]:
+    """Integer weights of the honest side and of the opposing side."""
+    if profile.n != params.n:
+        raise ValueError(f"profile has {profile.n} choices for {params.n} nodes")
+    w_h = sum(w for choice, w in zip(profile.choices, params.weights) if choice is Strategy.HONEST)
+    return w_h, sum(params.weights) - w_h
+
+
 def _payoff_rule(
-    params: GameParams, variant: Variant, v_h: Fraction, v_opposing: Fraction
+    params: GameParams, variant: Variant, w_h: int, w_opposing: int
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """The payoff rule of both games: per-node rewards for honest nodes and
-    for opposing nodes, given the power split.
+    for opposing nodes, given the power split as integer weights.
 
     The malicious protocol executes iff v_opposing > t. Otherwise the
     collusion game's contract orders the honest protocol, which then runs
@@ -356,12 +376,12 @@ def _payoff_rule(
     protocol executes iff v_h > t; if neither side clears t the system
     stalls and pays everyone 0.
     """
-    t = params.threshold_t
-    if v_opposing > t:
+    t = params.t_weight
+    if w_opposing > t:
         return params.reward_deviant_vs_malicious, params.reward_malicious
     if variant is Variant.COLLUSION:
         return params.reward_honest, params.reward_honest
-    if v_h > t:
+    if w_h > t:
         return params.reward_honest, params.reward_deviant_vs_honest
     stall = (Fraction(0),) * params.n
     return stall, stall
@@ -369,15 +389,13 @@ def _payoff_rule(
 
 def utility(params: GameParams, profile: StrategyProfile, node: NodeId) -> Fraction:
     """Payoff of `node` in the game named by the profile's variant."""
-    agg = aggregate_powers(profile, params.powers)
-    honest, opposing = _payoff_rule(params, profile.variant, agg.v_h, agg.v_opposing)
+    honest, opposing = _payoff_rule(params, profile.variant, *_weight_split(params, profile))
     return honest[node] if profile.choices[node] is Strategy.HONEST else opposing[node]
 
 
 def payoff_vector(params: GameParams, profile: StrategyProfile) -> tuple[Fraction, ...]:
     """All nodes' payoffs for one profile, computing the power split once."""
-    agg = aggregate_powers(profile, params.powers)
-    honest, opposing = _payoff_rule(params, profile.variant, agg.v_h, agg.v_opposing)
+    honest, opposing = _payoff_rule(params, profile.variant, *_weight_split(params, profile))
     return tuple(
         honest[i] if choice is Strategy.HONEST else opposing[i]
         for i, choice in enumerate(profile.choices)

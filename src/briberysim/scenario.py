@@ -31,10 +31,11 @@ from .chainsim import (
     sim_config_from_payload,
     trace_to_csv,
 )
-from .contract import replay_events
+from .contract import ContractError, replay_events
 from .equilibrium import (
     MUTATIONS,
     _check_t2,
+    _validate_order,
     _validate_verifier_args,
     check_weak_dominance_game1,
     deposit_bound,
@@ -227,8 +228,7 @@ def _check_options(scenario: Scenario, task: TaskSpec) -> None:
         order = opts.get("order")
         if not isinstance(order, list):
             raise ValueError("'order' must be an array of node indices")
-        for node in order:
-            parse_int(node, "'order'")
+        _validate_order([parse_int(node, "'order'") for node in order], scenario.params.n)
     elif task.kind == "contract_trace":
         events = opts.get("events")
         if not isinstance(events, str):
@@ -463,9 +463,12 @@ def _run_task(
 
     if task.kind == "contract_trace":
         events_path = scenario.base_dir / opts["events"]
-        with open(events_path, "r", encoding="utf-8") as fh:
-            replay = replay_events(fh)
-        summary = replay.summary()
+        try:
+            with open(events_path, "r", encoding="utf-8") as fh:
+                replay = replay_events(fh)
+            summary = replay.summary()
+        except (ValueError, ContractError) as exc:
+            raise ScenarioError(f"tasks[{index}] (contract_trace): {opts['events']}: {exc}") from None
         payload = {
             "events": opts["events"],
             "final_phase": replay.final_state.phase.value,

@@ -1,7 +1,10 @@
 """Tests for Nash checks, dominance, cascades, deposits, and the verifiers."""
 
+import hashlib
 import itertools
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,7 @@ from briberysim import (
     deposit_bound,
     find_deviation_cascade,
     is_strict_nash,
+    payoff_vector,
     random_game_params,
     utility,
     verify_deposit_bound,
@@ -26,6 +30,7 @@ from briberysim import (
 from briberysim import equilibrium
 from briberysim.equilibrium import (
     MUTATION_DEVIANT_REWARD_ABOVE_HONEST,
+    MUTATION_MALICIOUS_REWARD_BELOW_HONEST,
     DepositCheck,
     EnumerationLimitError,
     _check_t3,
@@ -34,7 +39,22 @@ from briberysim.equilibrium import (
 from briberysim.rational import format_rational
 from briberysim.scenario import TaskResult, table_csv
 
-H, C = Strategy.HONEST, Strategy.COMMIT
+H, C, M = Strategy.HONEST, Strategy.COMMIT, Strategy.MALICIOUS
+
+# sha256 of the verify_theorem payloads over T1-T4 x seeds 0-39 x {no
+# mutation, deviant_reward_above_honest}, 60 instances each: pins every drawn
+# instance, verdict and failure text
+THEOREM_DIGEST = "61bc61d95cee595e9c4b2f8e95254066a02422f0daa0a7a4282ab9704bbd89c2"
+
+
+def theorem_digest() -> str:
+    digest = hashlib.sha256()
+    for theorem in ("T1", "T2", "T3", "T4"):
+        for seed in range(40):
+            for mutation in (None, MUTATION_DEVIANT_REWARD_ABOVE_HONEST):
+                report = verify_theorem(theorem, seed, 60, (3, 8), mutation=mutation)
+                digest.update(json.dumps(report.to_payload(), sort_keys=True).encode())
+    return digest.hexdigest()
 
 
 class TestStrictNash:
@@ -56,6 +76,14 @@ class TestStrictNash:
 
     def test_all_commit_strict(self, p3):
         assert is_strict_nash(p3, all_commit(3)).is_strict_nash
+
+    def test_power_exactly_at_threshold_is_not_enough(self):
+        # nodes 0 and 1 hold 2/5 + 7/20 = 3/4 = t: exactly t executes nothing,
+        # so the contract orders the honest protocol and pays everyone r_h
+        params = GameParams.uniform(("2/5", "7/20", "1/4"), "3/4", 2, -1, 5, -3)
+        assert payoff_vector(params, StrategyProfile((C, C, H), Variant.COLLUSION)) == (2, 2, 2)
+        # without collusion neither side clears t and the system stalls
+        assert payoff_vector(params, StrategyProfile((M, M, H), Variant.NO_COLLUSION)) == (0, 0, 0)
 
 
 class TestWeakDominance:
@@ -226,6 +254,47 @@ class TestVerifyTheorem:
         assert not report.all_passed
         assert report.first_failure is not None
         assert "deviates" in report.first_failure.description
+
+    def test_theorem_digest_pinned(self):
+        assert theorem_digest() == THEOREM_DIGEST
+
+    def test_malicious_reward_below_honest_fails_t3_and_t4(self):
+        mutation = MUTATION_MALICIOUS_REWARD_BELOW_HONEST
+        t3 = verify_theorem("T3", 7, 200, mutation=mutation).first_failure
+        assert t3 is not None
+        match = re.fullmatch(
+            r"deviating subset (0x[0-9a-f]+): node (\d+) earns (-?\d+) < honest reward (\d+)",
+            t3.description,
+        )
+        assert match is not None
+        # the reported subset and node are the first failure of a direct scan
+        # over explicit profiles, subsets in increasing mask order
+        params = t3.params
+        first = None
+        for mask in range(1, 1 << params.n):
+            profile = StrategyProfile(
+                tuple(C if mask >> i & 1 else H for i in range(params.n)), Variant.COLLUSION
+            )
+            losers = [
+                i
+                for i in range(params.n)
+                if mask >> i & 1 and utility(params, profile, i) < params.reward_honest[i]
+            ]
+            if losers:
+                first = (mask, losers[0], utility(params, profile, losers[0]))
+                break
+        mask, node, earned = first
+        assert match.groups() == (
+            f"{mask:#x}",
+            str(node),
+            format_rational(earned),
+            format_rational(params.reward_honest[node]),
+        )
+        t4 = verify_theorem("T4", 7, 200, mutation=mutation).first_failure
+        assert t4 is not None
+        assert t4.description.startswith("all-commit not strict in the collusion game: node ")
+        # r_m is not read by T1
+        assert verify_theorem("T1", 7, 200, mutation=mutation).all_passed
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError, match="theorem"):

@@ -370,6 +370,7 @@ class TestCli:
             ({"kind": "verify_t1", "mutation": "typo"}, "'mutation'"),
             ({"kind": "chain_sim", "trace": "no"}, "'trace'"),
             ({"kind": "cascade", "order": [True, 0]}, "'order'"),
+            ({"kind": "cascade", "order": [0, 5]}, "not a permutation"),
         ],
     )
     def test_bad_run_options_exit_2_without_traceback(self, tmp_path, task, field):
@@ -387,6 +388,20 @@ class TestCli:
         assert proc.returncode == 2
         assert f"tasks[0] ({task['kind']})" in proc.stderr and field in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_contract_trace_error_names_task_and_file(self, tmp_path, capsys):
+        init = (REPO_SCENARIOS / "p3_contract_events.jsonl").read_text().splitlines()[0]
+        commit = json.dumps({"event": "commit", "node": 0, "deposit": "9"})
+        (tmp_path / "short.jsonl").write_text(f"{init}\n{commit}\n", encoding="utf-8")
+        file = write_scenario(
+            tmp_path,
+            tasks=[{"kind": "deposit_bound"}, {"kind": "contract_trace", "events": "short.jsonl"}],
+        )
+        expected = "error: tasks[1] (contract_trace): short.jsonl: unsettled minions remain: [0]"
+        assert main(["verify", str(file)]) == 2
+        assert expected in capsys.readouterr().err
+        assert main(["contract-trace", str(tmp_path / "short.jsonl")]) == 2
+        assert expected.replace("tasks[1]", "tasks[0]") in capsys.readouterr().err
 
     def test_chain_sim_runs_flag_below_one_exits_2(self, tmp_path, capsys):
         file = write_scenario(tmp_path, tasks=[{"kind": "chain_sim", "runs": 3}])
