@@ -8,9 +8,16 @@ if the fork wins.
 
 Block production is one block per slot, the producer drawn with probability
 equal to its power share (Proof-of-Work hash rate and Proof-of-Stake stake
-are both abstracted this way). Honest nodes always extend the longest chain
-they have, keeping their current chain on ties (first-seen), so the fork
-must become strictly longer to win.
+are both abstracted this way): node i owns the interval of [0, 1) between
+the cumulative shares before and after it, and the last boundary is exactly
+1, so every draw of `random()`, which lies in [0, 1), names a node. Honest
+nodes always extend the longest chain they have, keeping their current
+chain on ties (first-seen), so the fork must become strictly longer to win.
+
+Every block before the trigger is honest, so the payment (slot 0, height 1)
+gets its k-th confirmation in slot k-1 whoever produces the blocks: the
+trigger always falls at slot k-1, with the honest tip k blocks ahead of the
+fork root, and the race proper starts at slot k.
 
 Two consensus flavors:
 
@@ -31,16 +38,19 @@ Two consensus flavors:
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .games import GameParams, NodeId, PowerDistribution, validate_params
 from .rational import (
+    as_fraction,
     format_rational,
     format_rational_list,
     parse_int,
@@ -67,8 +77,8 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "minions", frozenset(self.minions))
-        object.__setattr__(self, "double_spend_value", Fraction(self.double_spend_value))
-        object.__setattr__(self, "threshold_t", Fraction(self.threshold_t))
+        object.__setattr__(self, "double_spend_value", as_fraction(self.double_spend_value))
+        object.__setattr__(self, "threshold_t", as_fraction(self.threshold_t))
         if not self.powers.is_normalized():
             raise ValueError("sim config: powers must be positive and sum to exactly 1")
         if self.confirmations < 1:
@@ -145,67 +155,79 @@ def catch_up_probability(minion_share: Fraction, deficit: int) -> Fraction:
 def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun:
     """Run one seeded attack simulation, optionally keeping the per-slot trace.
 
-    The race needs only height counters: the payment lands in slot 0 at
-    height 1, so it has k confirmations after slot k-1, where the minions
-    fork from genesis. From then on each slot extends the fork (a minion
-    producer) or the honest chain (anyone else).
+    The race needs only height counters. The payment lands in slot 0 at
+    height 1 and gets its k-th confirmation in slot k-1, the trigger, where
+    the minions fork from genesis; so slots 0 to k-1 extend the honest chain
+    whoever produces them. From slot k on each slot extends the fork (a
+    minion producer) or the honest chain (anyone else), and only a fork
+    block can end the race.
     """
     rng = random.Random(config.rng_seed)
+    draw = rng.random
     n = config.powers.n
-    # cumulative producer boundaries; float rounding only biases draws by ~1e-16
-    boundaries: list[float] = []
-    acc = Fraction(0)
-    for p in config.powers:
-        acc += p
-        boundaries.append(float(acc))
+    # cumulative producer boundaries, summed as integers over the common
+    # denominator (int / int rounds correctly, as float(Fraction) does); float
+    # rounding only biases draws by ~1e-16. draw() lies in [0, 1) and the last
+    # boundary is exactly 1.0, so bisect_right(boundaries, draw()) is always
+    # a node index < n
+    scale = math.lcm(*(p.denominator for p in config.powers))
+    weights = (p.numerator * (scale // p.denominator) for p in config.powers)
+    boundaries = [acc / scale for acc in accumulate(weights)]
     boundaries[-1] = 1.0
+    is_minion = [i in config.minions for i in range(n)]
 
     k = config.confirmations
+    horizon = config.horizon_slots
     pos = config.consensus is Consensus.POS_SLASHING
     can_win = not pos or config.minion_power() > config.threshold_t
-    honest_blocks = [0] * n  # per producer, on the honest chain from genesis
-    fork_blocks = [0] * n    # per producer, on the fork; under PoS each is a double-sign
-    honest_height = fork_height = 0
-    pending_proofs = 0       # PoS slashing proofs not yet included in an honest block
+    # slots 0 to k-1, or fewer if the horizon ends first
+    early = [bisect_right(boundaries, draw()) for _ in range(min(k, horizon))]
+    honest_blocks = [early.count(i) for i in range(n)]  # on the honest chain from genesis
+    fork_blocks = [0] * n  # on the fork; under PoS each is a double-sign
+    honest_height = len(early)
+    fork_height = 0
+    # PoS slashing proofs: every fork block made before the latest honest
+    # block is in it, since honest producers include all pending proofs
+    proofs_included = 0
     success = False
     trace: list[TraceRow] = []
+    if record_trace:
+        trace = [
+            TraceRow(
+                slot, producer, "canonical", slot + 1,
+                "target" if slot == 0 else "trigger" if slot == k - 1 else "",
+            )
+            for slot, producer in enumerate(early)
+        ]
 
-    for slot in range(config.horizon_slots):
-        # min() guards against the rng.random() == 1.0 edge
-        producer = min(bisect_right(boundaries, rng.random()), n - 1)
-        if slot < k:
-            honest_blocks[producer] += 1
-            honest_height += 1
-            side, height = "canonical", honest_height
-            event = "target" if slot == 0 else "trigger" if slot == k - 1 else ""
-        elif producer in config.minions:
+    for slot in range(honest_height, horizon):
+        producer = bisect_right(boundaries, draw())
+        if is_minion[producer]:
             fork_blocks[producer] += 1
             fork_height += 1
-            pending_proofs += 1
-            side, height, event = "fork", fork_height, ""
+            success = can_win and fork_height > honest_height
+            if record_trace:
+                trace.append(
+                    TraceRow(slot, producer, "fork", fork_height, "success" if success else "")
+                )
+            if success:
+                break
         else:
-            # honest producers include every pending proof in their block
             honest_blocks[producer] += 1
             honest_height += 1
-            pending_proofs = 0
-            side, height, event = "canonical", honest_height, ""
-        success = can_win and fork_height > honest_height
-        if success:
-            event = "success"
-        if record_trace:
-            trace.append(TraceRow(slot, producer, side, height, event))
-        if success:
-            break
+            proofs_included = fork_height
+            if record_trace:
+                trace.append(TraceRow(slot, producer, "canonical", honest_height, ""))
 
     double_signs: dict[NodeId, int] = {}
     censored = 0
     if pos:
         double_signs = {i: c for i, c in enumerate(fork_blocks) if c}
         # a winning fork reverts every honest block, and the proofs in them
-        censored = sum(fork_blocks) if success else pending_proofs
+        censored = fork_height if success else fork_height - proofs_included
     result = AttackResult(
         success=success,
-        slots_elapsed=slot + 1,
+        slots_elapsed=slot + 1 if success else horizon,
         fork_length=fork_height,
         reverted_blocks=honest_height if success else 0,
         per_node_blocks_canonical=dict(enumerate(fork_blocks if success else honest_blocks)),
@@ -322,9 +344,7 @@ def sim_config_to_payload(config: SimConfig) -> dict:
     }
 
 
-def sim_config_from_payload(
-    doc: dict, context: str = "sim", rng_seed: int | None = None
-) -> SimConfig:
+def sim_config_from_payload(doc: dict, context: str = "sim") -> SimConfig:
     """Parse a sim config document, naming the missing/invalid field on error."""
     if not isinstance(doc, dict):
         raise ValueError(f"{context}: expected an object")
@@ -341,7 +361,6 @@ def sim_config_from_payload(
     minions = doc["minions"]
     if not isinstance(minions, list):
         raise ValueError(f"{context}.minions: expected an array of node indices, got {minions!r}")
-    seed = parse_int(doc.get("rng_seed", 0), f"{context}.rng_seed")
     return SimConfig(
         powers=PowerDistribution(parse_rational_list(doc["powers"], f"{context}.powers")),
         minions=frozenset(parse_int(i, f"{context}.minions[{j}]") for j, i in enumerate(minions)),
@@ -351,7 +370,7 @@ def sim_config_from_payload(
         double_spend_value=parse_rational(
             doc.get("double_spend_value", 0), f"{context}.double_spend_value"
         ),
-        rng_seed=seed if rng_seed is None else rng_seed,
+        rng_seed=parse_int(doc.get("rng_seed", 0), f"{context}.rng_seed"),
         threshold_t=parse_rational(doc.get("threshold_t", "1/2"), f"{context}.threshold_t"),
     )
 

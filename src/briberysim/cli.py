@@ -130,7 +130,7 @@ def cmd_contract_trace(args) -> int:
         name=f"contract-trace:{events.name}",
         seed=args.seed if args.seed is not None else 0,
         params=None,
-        sim_payload=None,
+        sim=None,
         tasks=(TaskSpec("contract_trace", {"events": events.name}),),
         output_dir=None,
         base_dir=events.parent,

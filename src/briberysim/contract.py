@@ -301,7 +301,7 @@ def replay_events(lines: Iterable[str]) -> ReplayResult:
     """Replay a JSON-lines event log into a final contract state.
 
     A malformed line raises ValueError naming the line and the field; a
-    transition the contract forbids raises ContractError.
+    transition the contract forbids raises ContractError naming the line.
     """
     state: ContractState | None = None
     oracle: OracleReport | None = None
@@ -341,6 +341,8 @@ def replay_events(lines: Iterable[str]) -> ReplayResult:
                 raise ValueError(f"unknown event {kind!r}")
         except ValueError as exc:
             raise ValueError(f"event log line {line_no}: {exc}") from None
+        except ContractError as exc:
+            raise ContractError(f"event log line {line_no}: {exc}") from None
     if state is None:
         raise ValueError("event log contains no init event")
     return ReplayResult(final_state=state, outcomes=tuple(outcomes))

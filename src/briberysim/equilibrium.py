@@ -38,7 +38,6 @@ from .games import (
     opposing_strategy,
     params_to_json_dict,
     payoff_vector,
-    utility,
 )
 from .rational import format_rational, format_rational_list
 from .seeding import derive_seed
@@ -142,6 +141,11 @@ class DominanceReport:
         }
 
 
+def _check_enumeration_limit(n: int, max_nodes: int = ENUMERATION_LIMIT) -> None:
+    if n > max_nodes:
+        raise EnumerationLimitError(f"n = {n} exceeds the enumeration limit {max_nodes}")
+
+
 def check_weak_dominance_game1(
     params: GameParams, max_nodes: int = ENUMERATION_LIMIT
 ) -> DominanceReport:
@@ -149,26 +153,29 @@ def check_weak_dominance_game1(
 
     For each node, enumerates all 2^(n-1) opponent assignments and compares
     the node's payoff under COMMIT vs HONEST: never worse everywhere, and
-    strictly better against at least one opponent profile.
+    strictly better against at least one opponent profile. An opponent
+    assignment enters the payoff rule only through the committed weight of
+    the other nodes, to which COMMIT adds the node's own weight.
     """
     n = params.n
-    if n > max_nodes:
-        raise EnumerationLimitError(f"n = {n} exceeds the enumeration limit {max_nodes}")
+    _check_enumeration_limit(n, max_nodes)
     opponents_per_node = 2 ** (n - 1)
+    total = sum(params.weights)
     per_node: list[NodeDominance] = []
-    for node in range(n):
-        others = [i for i in range(n) if i != node]
+    for node, w_node in enumerate(params.weights):
+        others = params.weights[:node] + params.weights[node + 1:]
+        # committed weight of the others per mask (bit b: the b-th other node
+        # commits), by the lowest-set-bit recurrence
+        committed = [0] * opponents_per_node
+        for mask in range(1, opponents_per_node):
+            low = mask & -mask
+            committed[mask] = committed[mask ^ low] + others[low.bit_length() - 1]
         never_worse = True
         strictly_better = False
-        for mask in range(opponents_per_node):
-            choices = [Strategy.HONEST] * n
-            for bit, other in enumerate(others):
-                if mask >> bit & 1:
-                    choices[other] = Strategy.COMMIT
-            choices[node] = Strategy.COMMIT
-            u_commit = utility(params, StrategyProfile(tuple(choices), Variant.COLLUSION), node)
-            choices[node] = Strategy.HONEST
-            u_honest = utility(params, StrategyProfile(tuple(choices), Variant.COLLUSION), node)
+        for w_others in committed:
+            w_commit = w_others + w_node
+            u_commit = _payoff_rule(params, Variant.COLLUSION, total - w_commit, w_commit)[1][node]
+            u_honest = _payoff_rule(params, Variant.COLLUSION, total - w_others, w_others)[0][node]
             if u_commit < u_honest:
                 never_worse = False
                 break

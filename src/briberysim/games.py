@@ -43,7 +43,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .rational import format_rational, format_rational_list, parse_rational, parse_rational_list
+from .rational import (
+    as_fraction,
+    as_fractions,
+    format_rational,
+    format_rational_list,
+    parse_rational,
+    parse_rational_list,
+)
 
 NodeId = int
 
@@ -82,15 +89,15 @@ class ProfileVariantMismatch(ValueError):
 class PowerDistribution:
     """Per-node voting power shares.
 
-    Construction only coerces values to Fractions; whether the distribution
-    is admissible (all positive, sums to exactly 1) is a validation question
-    answered by `validate_params`.
+    Construction only coerces values that are not Fractions yet; whether
+    the distribution is admissible (all positive, sums to exactly 1) is a
+    validation question answered by `validate_params`.
     """
 
     powers: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", tuple(Fraction(p) for p in self.powers))
+        object.__setattr__(self, "powers", as_fractions(self.powers))
 
     def __len__(self) -> int:
         return len(self.powers)
@@ -106,10 +113,13 @@ class PowerDistribution:
         return len(self.powers)
 
     def total(self) -> Fraction:
-        return sum(self.powers, Fraction(0))
+        # summed as integers over the common denominator, one Fraction at the end
+        scale = math.lcm(*(p.denominator for p in self.powers))
+        return Fraction(sum(p.numerator * (scale // p.denominator) for p in self.powers), scale)
 
     def is_normalized(self) -> bool:
-        return all(p > 0 for p in self.powers) and self.total() == 1
+        # a Fraction's denominator is positive, so its numerator carries the sign
+        return all(p.numerator > 0 for p in self.powers) and self.total() == 1
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,7 @@ class GameParams:
     t_weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = Fraction(self.threshold_t)
+        t = as_fraction(self.threshold_t)
         object.__setattr__(self, "threshold_t", t)
         scale = math.lcm(t.denominator, *(p.denominator for p in self.powers))
         object.__setattr__(
@@ -146,7 +156,7 @@ class GameParams:
             "reward_malicious",
             "reward_deviant_vs_malicious",
         ):
-            values = tuple(Fraction(v) for v in getattr(self, name))
+            values = as_fractions(getattr(self, name))
             if len(values) != self.powers.n:
                 raise ValueError(
                     f"{name} has {len(values)} entries for {self.powers.n} nodes"

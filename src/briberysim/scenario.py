@@ -27,6 +27,7 @@ from . import __version__
 from .chainsim import (
     Consensus,
     SimConfig,
+    run_attack,
     run_attack_detailed,
     sim_config_from_payload,
     trace_to_csv,
@@ -34,6 +35,7 @@ from .chainsim import (
 from .contract import ContractError, replay_events
 from .equilibrium import (
     MUTATIONS,
+    _check_enumeration_limit,
     _check_t2,
     _validate_order,
     _validate_verifier_args,
@@ -110,15 +112,15 @@ class Scenario:
     name: str
     seed: int
     params: GameParams | None
-    sim_payload: dict | None
+    sim: SimConfig | None  # the 'sim' section, parsed once at load
     tasks: tuple[TaskSpec, ...]
     output_dir: str | None
     base_dir: Path
 
     def sim_config(self, rng_seed: int) -> SimConfig:
-        if self.sim_payload is None:
+        if self.sim is None:
             raise ScenarioError("scenario has no 'sim' section")
-        return sim_config_from_payload(self.sim_payload, "sim", rng_seed=rng_seed)
+        return replace(self.sim, rng_seed=rng_seed)
 
     def require_params(self, task: str) -> GameParams:
         if self.params is None:
@@ -167,11 +169,10 @@ def load_scenario(path: str | Path) -> Scenario:
                 + "; ".join(str(v) for v in violations)
             )
 
-    sim_payload = None
+    sim = None
     if "sim" in doc:
-        sim_payload = doc["sim"]
         try:
-            sim_config_from_payload(sim_payload, "sim", rng_seed=0)  # structural check
+            sim = sim_config_from_payload(doc["sim"], "sim")
         except ValueError as exc:
             raise ScenarioError(f"scenario {path}: {exc}") from exc
 
@@ -195,7 +196,7 @@ def load_scenario(path: str | Path) -> Scenario:
         name=doc["name"],
         seed=doc["seed"],
         params=params,
-        sim_payload=sim_payload,
+        sim=sim,
         tasks=tuple(tasks),
         output_dir=doc.get("output_dir"),
         base_dir=path.parent,
@@ -220,10 +221,12 @@ def _check_options(scenario: Scenario, task: TaskSpec) -> None:
         raise ValueError(f"unknown option {unknown[0]!r}; options: {list(known)}")
     if task.kind in ("dominance", "cascade", "deposit_bound") and scenario.params is None:
         raise ValueError("scenario has no 'params' section")
-    if task.kind == "chain_sim" and scenario.sim_payload is None:
+    if task.kind == "chain_sim" and scenario.sim is None:
         raise ValueError("scenario has no 'sim' section")
     if task.kind in DEFAULT_INSTANCES:
         _verify_options(task)
+    elif task.kind == "dominance":
+        _check_enumeration_limit(scenario.params.n)
     elif task.kind == "cascade":
         order = opts.get("order")
         if not isinstance(order, list):
@@ -551,19 +554,20 @@ def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int) -> Tas
             row.update(valid=False, violation="; ".join(str(v) for v in violations))
             rows.append(row)
             continue
+        config = SimConfig(
+            powers=powers,
+            minions=frozenset({0, 1}),
+            consensus=consensus,
+            confirmations=conf,
+            horizon_slots=horizon,
+            double_spend_value=d_m,
+            rng_seed=0,  # replaced per run
+            threshold_t=t,
+        )
         successes = 0
         for run_index in range(runs_per_cell):
-            config = SimConfig(
-                powers=powers,
-                minions=frozenset({0, 1}),
-                consensus=consensus,
-                confirmations=conf,
-                horizon_slots=horizon,
-                double_spend_value=d_m,
-                rng_seed=derive_seed(seed, "sim-run", cell_index, run_index),
-                threshold_t=t,
-            )
-            if run_attack_detailed(config).result.success:
+            run_seed = derive_seed(seed, "sim-run", cell_index, run_index)
+            if run_attack(replace(config, rng_seed=run_seed)).success:
                 successes += 1
         row.update(
             valid=True,

@@ -1,4 +1,9 @@
-"""Shared randomized-session builders for contract tests."""
+"""Shared test builders and independent oracles.
+
+Randomized contract sessions, a per-profile dominance scan and a counter
+model of the fork race: each oracle is written as directly as the model
+reads, so that the optimized code can be checked against it.
+"""
 
 from __future__ import annotations
 
@@ -7,17 +12,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from briberysim import (
+    Consensus,
     ContractConfig,
     ContractState,
+    DominanceReport,
+    GameParams,
     OracleReport,
     PowerDistribution,
     Protocol,
     SettlementOutcome,
+    SimConfig,
+    Strategy,
+    StrategyProfile,
+    Variant,
     advance_clock,
     contract_commit,
     contract_distribute,
     contract_init,
+    utility,
 )
+from briberysim.equilibrium import NodeDominance
 
 
 @dataclass
@@ -114,3 +128,74 @@ def random_contract_session(rng: random.Random, force_no_trigger: bool = False) 
         order_history=order_history,
         commit_power_prefix=prefix,
     )
+
+
+def dominance_by_profiles(params: GameParams) -> DominanceReport:
+    """Weak-dominance scan over explicit collusion-game profiles.
+
+    For each node and each of the 2^(n-1) opponent masks (bit b: the b-th
+    other node commits), compares `utility` under COMMIT and HONEST, stopping
+    at the first profile where committing is worse.
+    """
+    n = params.n
+    opponents_per_node = 2 ** (n - 1)
+    per_node = []
+    for node in range(n):
+        others = [i for i in range(n) if i != node]
+        never_worse = True
+        strictly_better = False
+        for mask in range(opponents_per_node):
+            choices = [Strategy.HONEST] * n
+            for bit, other in enumerate(others):
+                if mask >> bit & 1:
+                    choices[other] = Strategy.COMMIT
+            choices[node] = Strategy.COMMIT
+            u_commit = utility(params, StrategyProfile(tuple(choices), Variant.COLLUSION), node)
+            choices[node] = Strategy.HONEST
+            u_honest = utility(params, StrategyProfile(tuple(choices), Variant.COLLUSION), node)
+            if u_commit < u_honest:
+                never_worse = False
+                break
+            if u_commit > u_honest:
+                strictly_better = True
+        per_node.append(NodeDominance(node, never_worse, strictly_better))
+    return DominanceReport(
+        weakly_dominates=all(d.never_worse and d.strictly_better_somewhere for d in per_node),
+        per_node=tuple(per_node),
+        opponent_profiles_checked=opponents_per_node,
+    )
+
+
+def race_by_counters(config: SimConfig) -> tuple[bool, int, int, int]:
+    """Counter model of one fork race: (success, slots_elapsed, fork_length, reverted_blocks).
+
+    Draws producers from the same seeded stream as the simulation, node i
+    owning the interval below the float of its cumulative power share.
+    The first `confirmations` slots build the honest chain up to the
+    payment's last confirmation, whoever produces them; after that a minion
+    slot extends the fork and any other slot the honest chain. The fork
+    wins, reverting the whole honest chain, as soon as it is strictly
+    longer, under deposit-slashing only if the minions hold more than t.
+    """
+    rng = random.Random(config.rng_seed)
+    cumulative = []
+    share = Fraction(0)
+    for power in config.powers:
+        share += power
+        cumulative.append(float(share))
+    cumulative[-1] = 1.0
+    minion_power = sum((config.powers[i] for i in config.minions), Fraction(0))
+    fork_can_win = (
+        config.consensus is Consensus.POW_LONGEST_CHAIN or minion_power > config.threshold_t
+    )
+    honest = fork = 0
+    for slot in range(config.horizon_slots):
+        draw = rng.random()
+        producer = next(i for i, bound in enumerate(cumulative) if draw < bound)
+        if slot >= config.confirmations and producer in config.minions:
+            fork += 1
+            if fork_can_win and fork > honest:
+                return True, slot + 1, fork, honest
+        else:
+            honest += 1
+    return False, config.horizon_slots, fork, 0

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from briberysim import (
 )
 from briberysim.chainsim import sim_config_from_payload, sim_config_to_payload
 from briberysim.seeding import derive_seed
+from helpers import race_by_counters
 
 P3_POWERS = PowerDistribution(("2/5", "7/20", "1/4"))
 
@@ -194,6 +196,57 @@ class TestRunAttack:
         assert run.trace[-1].event == "success"
 
 
+class TestRaceAgainstCounterModel:
+    def test_results_match_counter_model(self):
+        rng = random.Random(2024)
+        cases = set()
+        for index in range(600):
+            n = rng.randint(1, 6)
+            weights = [rng.randint(1, 9) for _ in range(n)]
+            powers = PowerDistribution(tuple(Fraction(w, sum(weights)) for w in weights))
+            minions = frozenset(i for i in range(n) if rng.random() < 0.5)
+            minion_power = sum((powers[i] for i in minions), Fraction(0))
+            k = rng.randint(1, 6)
+            horizon = rng.choice([max(1, k - 1), k, k + 1, 40, 400])
+            t = rng.choice([Fraction(1, 2), Fraction(2, 3), minion_power])
+            config = SimConfig(
+                powers=powers,
+                minions=minions,
+                consensus=rng.choice(list(Consensus)),
+                confirmations=k,
+                horizon_slots=horizon,
+                double_spend_value=Fraction(20),
+                rng_seed=derive_seed(0, "race-model", index),
+                threshold_t=t,
+            )
+            result = run_attack_detailed(config, record_trace=index % 2 == 0).result
+            observed = (
+                result.success, result.slots_elapsed, result.fork_length, result.reverted_blocks
+            )
+            assert observed == race_by_counters(config), config
+            pos = config.consensus is Consensus.POS_SLASHING
+            cases.add(
+                (
+                    "pos" if pos else "pow",
+                    "majority" if 2 * minion_power > 1 else "minority",
+                    ("above t" if minion_power > t else "at most t") if pos else "",
+                    horizon < k,
+                    result.success,
+                )
+            )
+        # every kind of race occurred, won and lost where it can be, and never
+        # won where it cannot: under PoS at most t, or with the horizon below k
+        pow_cases = itertools.product(["pow"], ("majority", "minority"), [""], [False], (True, False))
+        assert set(pow_cases) <= cases
+        assert {
+            ("pos", "majority", "above t", False, True),
+            ("pos", "majority", "at most t", False, False),
+            ("pos", "minority", "at most t", False, False),
+        } <= cases
+        assert not any(c[2] == "at most t" and c[4] for c in cases)
+        assert any(c[3] for c in cases) and not any(c[3] and c[4] for c in cases)
+
+
 class TestCatchUpOracle:
     def test_closed_form_values(self):
         assert catch_up_probability(Fraction(1, 4), 6) == Fraction(1, 729)
@@ -353,7 +406,7 @@ class TestSimConfigValidation:
         doc = sim_config_to_payload(make_config({0, 1}))
         doc[field] = value
         with pytest.raises(ValueError, match=rf"^sim\.{field}\b"):
-            sim_config_from_payload(doc, rng_seed=0)
+            sim_config_from_payload(doc)
 
     def test_missing_field_named(self):
         doc = sim_config_to_payload(make_config({0, 1}))

@@ -323,6 +323,19 @@ class TestEventLogReplay:
         err = capsys.readouterr().err
         assert f"event log line {line_no}: " in err and field in err
 
+    def test_forbidden_transition_names_line(self, tmp_path, capsys):
+        fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
+        lines = fixture.read_text(encoding="utf-8").splitlines()
+        lines[2] = '{"event": "commit", "node": 0, "deposit": "9"}'  # node 0 commits again
+        message = "event log line 3: commit rejected: node 0 already committed"
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            replay_events(lines)
+        events = tmp_path / "dup.jsonl"
+        events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["contract-trace", str(events)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: tasks[0] (contract_trace): dup.jsonl: {message}" in err
+
     def test_unknown_event_rejected(self):
         lines = ['{"event": "frobnicate"}']
         with pytest.raises(ValueError, match="frobnicate.*before init|before init"):

@@ -38,6 +38,7 @@ from briberysim.equilibrium import (
 )
 from briberysim.rational import format_rational
 from briberysim.scenario import TaskResult, table_csv
+from helpers import dominance_by_profiles
 
 H, C, M = Strategy.HONEST, Strategy.COMMIT, Strategy.MALICIOUS
 
@@ -103,6 +104,18 @@ class TestWeakDominance:
     def test_smaller_malicious_margin_still_dominates(self):
         params = GameParams.uniform(("2/5", "7/20", "1/4"), "1/2", 2, -1, 3, -3)
         assert check_weak_dominance_game1(params).weakly_dominates
+
+    def test_matches_profile_scan_on_random_instances(self):
+        never_worse = []
+        for mutation in (None, *equilibrium.MUTATIONS):
+            rng = random.Random(f"dominance-{mutation}")
+            for _ in range(40):
+                params = random_game_params(rng, (3, 8), mutation=mutation)
+                report = check_weak_dominance_game1(params)
+                assert report == dominance_by_profiles(params)
+                never_worse += [d.never_worse for d in report.per_node]
+        # both outcomes occur, so the early break is exercised
+        assert True in never_worse and False in never_worse
 
     def test_enumeration_limit(self):
         n = 13

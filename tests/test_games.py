@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from briberysim import (
+    Consensus,
     GameParams,
     PowerDistribution,
+    SimConfig,
     Strategy,
     StrategyProfile,
     Variant,
@@ -303,3 +305,64 @@ class TestSerialization:
         doc["r_h"][1] = "two"
         with pytest.raises(ValueError, match=r"r_h\[1\]"):
             params_from_json_dict(doc)
+
+
+# (powers, t, rewards r_h/r_d/r_m/r_dp) given as ints and as rational strings
+UNCOERCED_INPUTS = [
+    pytest.param((1, 2, 3), 1, (2, -1, 5, -3), id="int"),
+    pytest.param(("1/6", "1/3", "1/2"), "1/2", ("2", "-1/2", "5/3", "-3"), id="str"),
+]
+
+
+class TestFractionCoercion:
+    @pytest.mark.parametrize("powers, t, rewards", UNCOERCED_INPUTS)
+    def test_power_distribution(self, powers, t, rewards):
+        dist = PowerDistribution(powers)
+        assert all(type(p) is Fraction for p in dist)
+        assert dist == PowerDistribution(tuple(Fraction(p) for p in powers))
+
+    @pytest.mark.parametrize("powers, t, rewards", UNCOERCED_INPUTS)
+    def test_game_params(self, powers, t, rewards):
+        n = len(powers)
+        params = GameParams(PowerDistribution(powers), t, *((r,) * n for r in rewards))
+        exact = GameParams(
+            PowerDistribution(tuple(Fraction(p) for p in powers)),
+            Fraction(t),
+            *((Fraction(r),) * n for r in rewards),
+        )
+        stored = (
+            *params.powers,
+            params.threshold_t,
+            *params.reward_honest,
+            *params.reward_deviant_vs_honest,
+            *params.reward_malicious,
+            *params.reward_deviant_vs_malicious,
+        )
+        assert all(type(v) is Fraction for v in stored)
+        assert params == exact
+        assert (params.weights, params.t_weight) == (exact.weights, exact.t_weight)
+
+    @pytest.mark.parametrize("powers, t, rewards", UNCOERCED_INPUTS)
+    def test_sim_config(self, powers, t, rewards):
+        config = SimConfig(
+            powers=PowerDistribution(("1/4", "3/4")),
+            minions=frozenset({0}),
+            consensus=Consensus.POS_SLASHING,
+            confirmations=2,
+            horizon_slots=10,
+            double_spend_value=rewards[2],
+            rng_seed=0,
+            threshold_t=t,
+        )
+        assert all(type(p) is Fraction for p in config.powers)
+        assert type(config.double_spend_value) is Fraction
+        assert type(config.threshold_t) is Fraction
+        assert config.double_spend_value == Fraction(rewards[2])
+        assert config.threshold_t == Fraction(t)
+
+    def test_fractions_are_kept_not_rebuilt(self):
+        powers = (Fraction(1, 4), Fraction(3, 4))
+        t = Fraction(1, 2)
+        params = GameParams(PowerDistribution(powers), t, *((Fraction(2),) * 2,) * 4)
+        assert all(kept is given for kept, given in zip(params.powers, powers))
+        assert params.threshold_t is t

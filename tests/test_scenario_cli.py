@@ -25,6 +25,16 @@ P3_PARAMS = {
     "r_dp": ["-3", "-3", "-3"],
 }
 
+# 13 nodes: one more than a dominance scan enumerates
+THIRTEEN_NODE_PARAMS = {
+    "powers": ["1/13"] * 13,
+    "t": "1/2",
+    "r_h": ["2"] * 13,
+    "r_d": ["-1"] * 13,
+    "r_m": ["5"] * 13,
+    "r_dp": ["-3"] * 13,
+}
+
 P3_SIM = {
     "powers": ["2/5", "7/20", "1/4"],
     "minions": [0, 1],
@@ -88,6 +98,16 @@ class TestLoadScenario:
     def test_contract_trace_requires_existing_file(self, tmp_path):
         file = write_scenario(tmp_path, tasks=[{"kind": "contract_trace", "events": "nope.jsonl"}])
         with pytest.raises(ScenarioError, match="not found"):
+            load_scenario(file)
+
+    def test_dominance_node_cap_checked_at_load(self, tmp_path):
+        file = write_scenario(
+            tmp_path,
+            params=THIRTEEN_NODE_PARAMS,
+            tasks=[{"kind": "deposit_bound"}, {"kind": "dominance"}],
+        )
+        message = r"tasks\[1\] \(dominance\): n = 13 exceeds the enumeration limit 12$"
+        with pytest.raises(ScenarioError, match=message):
             load_scenario(file)
 
     def test_boolean_seed_rejected(self, tmp_path):
@@ -371,10 +391,13 @@ class TestCli:
             ({"kind": "chain_sim", "trace": "no"}, "'trace'"),
             ({"kind": "cascade", "order": [True, 0]}, "'order'"),
             ({"kind": "cascade", "order": [0, 5]}, "not a permutation"),
+            ({"kind": "dominance"}, "n = 13 exceeds the enumeration limit 12"),
         ],
     )
     def test_bad_run_options_exit_2_without_traceback(self, tmp_path, task, field):
-        file = write_scenario(tmp_path, tasks=[task])
+        # a dominance task has no options; what it rejects is the node count
+        params = THIRTEEN_NODE_PARAMS if task["kind"] == "dominance" else P3_PARAMS
+        file = write_scenario(tmp_path, params=params, tasks=[task])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
