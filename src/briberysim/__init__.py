@@ -8,7 +8,6 @@ and seeded double-spend chain simulations, driven by JSON scenarios.
 __version__ = "0.1.0"
 
 from .games import (  # noqa: E402
-    AggregatePowers,
     AssumptionViolation,
     GameParams,
     NodeId,
@@ -16,11 +15,8 @@ from .games import (  # noqa: E402
     Strategy,
     StrategyProfile,
     Variant,
-    aggregate_powers,
     all_commit,
     all_honest,
-    all_malicious,
-    is_valid,
     params_from_json_dict,
     params_to_json_dict,
     payoff_vector,
@@ -61,8 +57,6 @@ from .chainsim import (  # noqa: E402
     Consensus,
     SimConfig,
     catch_up_probability,
-    derive_game_params,
-    pos_slashing_audit,
     run_attack,
     run_attack_detailed,
 )

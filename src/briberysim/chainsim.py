@@ -40,23 +40,15 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .games import GameParams, NodeId, PowerDistribution, validate_params
-from .rational import (
-    as_fraction,
-    format_rational,
-    format_rational_list,
-    parse_int,
-    parse_rational,
-    parse_rational_list,
-)
+from .games import NodeId, PowerDistribution
+from .rational import as_fraction, parse_int, parse_rational, parse_rational_list
 
 
 class Consensus(Enum):
@@ -71,13 +63,11 @@ class SimConfig:
     consensus: Consensus
     confirmations: int
     horizon_slots: int
-    double_spend_value: Fraction
     rng_seed: int
     threshold_t: Fraction = Fraction(1, 2)  # PoS endorsement threshold
 
     def __post_init__(self):
         object.__setattr__(self, "minions", frozenset(self.minions))
-        object.__setattr__(self, "double_spend_value", as_fraction(self.double_spend_value))
         object.__setattr__(self, "threshold_t", as_fraction(self.threshold_t))
         if not self.powers.is_normalized():
             raise ValueError("sim config: powers must be positive and sum to exactly 1")
@@ -87,9 +77,6 @@ class SimConfig:
             raise ValueError("sim config: horizon_slots must be > 0")
         if any(i < 0 or i >= self.powers.n for i in self.minions):
             raise ValueError("sim config: minions must be node indices")
-
-    def minion_power(self) -> Fraction:
-        return sum((self.powers[i] for i in self.minions), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -179,7 +166,7 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
     k = config.confirmations
     horizon = config.horizon_slots
     pos = config.consensus is Consensus.POS_SLASHING
-    can_win = not pos or config.minion_power() > config.threshold_t
+    can_win = not pos or config.powers.power_of(config.minions) > config.threshold_t
     # slots 0 to k-1, or fewer if the horizon ends first
     early = [bisect_right(boundaries, draw()) for _ in range(min(k, horizon))]
     honest_blocks = [early.count(i) for i in range(n)]  # on the honest chain from genesis
@@ -243,109 +230,11 @@ def run_attack(config: SimConfig) -> AttackResult:
     return run_attack_detailed(config, record_trace=False).result
 
 
-@dataclass(frozen=True)
-class SlashingAudit:
-    offenses_by_node: dict[NodeId, int]
-    offenses_total: int
-    proofs_included: int
-    proofs_censored: int
-    censorship_intact: bool           # no proof landed although the attack succeeded
-    slashable_nodes: tuple[NodeId, ...]  # offenders with evidence on the final chain
-
-    def to_payload(self) -> dict:
-        return {
-            "offenses_by_node": {str(i): c for i, c in sorted(self.offenses_by_node.items())},
-            "offenses_total": self.offenses_total,
-            "proofs_included": self.proofs_included,
-            "proofs_censored": self.proofs_censored,
-            "censorship_intact": self.censorship_intact,
-            "slashable_nodes": list(self.slashable_nodes),
-        }
-
-
-def pos_slashing_audit(result: AttackResult) -> SlashingAudit:
-    """Audit the slashing evidence of a deposit-slashing run.
-
-    In a successful attack every proof must have been censored off the
-    final chain; in a failed attack the included proofs make the offending
-    minions slashable.
-    """
-    if result.consensus is not Consensus.POS_SLASHING:
-        raise ValueError("slashing audit requires a deposit-slashing run")
-    total = sum(result.double_signs.values())
-    included = total - result.slashing_proofs_censored
-    offenders = tuple(sorted(i for i, c in result.double_signs.items() if c > 0))
-    slashable = offenders if (not result.success and included > 0) else ()
-    return SlashingAudit(
-        offenses_by_node=dict(result.double_signs),
-        offenses_total=total,
-        proofs_included=included,
-        proofs_censored=result.slashing_proofs_censored,
-        censorship_intact=(not result.success) or included == 0,
-        slashable_nodes=slashable,
-    )
-
-
-def derive_game_params(
-    config: SimConfig,
-    result: AttackResult | None,
-    reward_honest: Sequence[Fraction],
-    reward_deviant_vs_honest: Sequence[Fraction],
-    reward_deviant_vs_malicious: Sequence[Fraction],
-    bribe_pool: Fraction,
-) -> GameParams:
-    """Turn a simulated attack into game parameters.
-
-    The malicious reward is the honest reward plus the node's power share
-    of the bribe pool: r_m_i = r_h_i + v_i * D_m. The remaining rewards
-    pass through unchanged, and the result must satisfy every model
-    assumption (a non-positive bribe pool breaks r_m > r_h immediately).
-    """
-    bribe_pool = Fraction(bribe_pool)
-    if bribe_pool > config.double_spend_value:
-        warnings.warn(
-            "bribe pool exceeds the double-spend value; the attack does not pay for itself",
-            stacklevel=2,
-        )
-    if result is not None and not result.success:
-        warnings.warn(
-            "deriving rewards from an unsuccessful attack run", stacklevel=2
-        )
-    params = GameParams(
-        powers=config.powers,
-        threshold_t=config.threshold_t,
-        reward_honest=tuple(Fraction(r) for r in reward_honest),
-        reward_deviant_vs_honest=tuple(Fraction(r) for r in reward_deviant_vs_honest),
-        reward_malicious=tuple(
-            Fraction(r) + config.powers[i] * bribe_pool for i, r in enumerate(reward_honest)
-        ),
-        reward_deviant_vs_malicious=tuple(Fraction(r) for r in reward_deviant_vs_malicious),
-    )
-    violations = validate_params(params)
-    if violations:
-        raise ValueError(
-            "derived params violate model assumptions: " + "; ".join(str(v) for v in violations)
-        )
-    return params
-
-
-# --- JSON payloads -----------------------------------------------------------
-
-def sim_config_to_payload(config: SimConfig) -> dict:
-    return {
-        "powers": format_rational_list(config.powers),
-        "minions": sorted(config.minions),
-        "consensus": config.consensus.value,
-        "confirmations": config.confirmations,
-        "horizon_slots": config.horizon_slots,
-        "double_spend_value": format_rational(config.double_spend_value),
-        "threshold_t": format_rational(config.threshold_t),
-        "rng_seed": config.rng_seed,
-    }
-
-
 def sim_config_from_payload(doc: dict, context: str = "sim") -> SimConfig:
-    """Parse a sim config document, naming the missing/invalid field on error."""
+    """Parse a sim config document, naming the missing/invalid field on error.
+
+    Keys other than the config's fields are ignored.
+    """
     if not isinstance(doc, dict):
         raise ValueError(f"{context}: expected an object")
     for key in ("powers", "minions", "consensus", "confirmations", "horizon_slots"):
@@ -367,9 +256,6 @@ def sim_config_from_payload(doc: dict, context: str = "sim") -> SimConfig:
         consensus=consensus,
         confirmations=parse_int(doc["confirmations"], f"{context}.confirmations"),
         horizon_slots=parse_int(doc["horizon_slots"], f"{context}.horizon_slots"),
-        double_spend_value=parse_rational(
-            doc.get("double_spend_value", 0), f"{context}.double_spend_value"
-        ),
         rng_seed=parse_int(doc.get("rng_seed", 0), f"{context}.rng_seed"),
         threshold_t=parse_rational(doc.get("threshold_t", "1/2"), f"{context}.threshold_t"),
     )

@@ -15,7 +15,6 @@ and 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .scenario import (
     report_json,
     run_scenario,
     table_csv,
+    with_tasks,
 )
 
 
@@ -116,25 +116,23 @@ def cmd_cascade(args) -> int:
         tasks = tuple(t for t in scenario.tasks if t.kind == "cascade")
         if not tasks:
             raise ScenarioError("scenario has no cascade task; pass --order")
-    scenario = dataclasses.replace(scenario, tasks=tasks)
+    scenario = with_tasks(scenario, tasks)
     report = run_scenario(scenario, output_dir=args.out, seed=args.seed)
     return _emit(report, args)
 
 
 def cmd_contract_trace(args) -> int:
-    events = Path(args.events)
-    if not events.exists():
-        raise ScenarioError(f"events file not found: {events}")
+    events = args.events
     scenario = Scenario(
-        schema_version=1,
         name=f"contract-trace:{events.name}",
         seed=args.seed if args.seed is not None else 0,
         params=None,
         sim=None,
-        tasks=(TaskSpec("contract_trace", {"events": events.name}),),
+        tasks=(),
         output_dir=None,
         base_dir=events.parent,
     )
+    scenario = with_tasks(scenario, (TaskSpec("contract_trace", {"events": events.name}),))
     report = run_scenario(scenario, output_dir=args.out, seed=args.seed)
     return _emit(report, args)
 
@@ -144,8 +142,6 @@ def cmd_chain_sim(args) -> int:
     tasks = tuple(t for t in scenario.tasks if t.kind == "chain_sim")
     if not tasks:
         tasks = (TaskSpec("chain_sim", {"runs": 1}),)
-    if args.runs is not None and args.runs < 1:
-        raise ScenarioError(f"--runs must be >= 1, got {args.runs}")
     if args.runs is not None or args.trace:
         patched = []
         for task in tasks:
@@ -156,7 +152,7 @@ def cmd_chain_sim(args) -> int:
                 options["trace"] = True
             patched.append(TaskSpec("chain_sim", options))
         tasks = tuple(patched)
-    scenario = dataclasses.replace(scenario, tasks=tasks)
+    scenario = with_tasks(scenario, tasks)
     report = run_scenario(scenario, output_dir=args.out, seed=args.seed)
     return _emit(report, args)
 
@@ -166,7 +162,7 @@ def cmd_sweep(args) -> int:
     tasks = tuple(t for t in scenario.tasks if t.kind == "sweep")
     if not tasks:
         raise ScenarioError("scenario has no sweep task")
-    scenario = dataclasses.replace(scenario, tasks=tasks)
+    scenario = with_tasks(scenario, tasks)
     report = run_scenario(scenario, output_dir=args.out, seed=args.seed)
     return _emit(report, args)
 

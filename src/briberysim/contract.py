@@ -93,9 +93,6 @@ class ContractState:
     settlements: Mapping[NodeId, tuple[SettlementOutcome, Fraction]]
     clock: int
 
-    def committed_power(self) -> Fraction:
-        return sum((self.config.powers[i] for i in self.minions), Fraction(0))
-
 
 def contract_init(config: ContractConfig) -> ContractState:
     """Open a contract: no minions, honest order, clock at zero."""
@@ -143,7 +140,7 @@ def contract_commit(state: ContractState, node: NodeId, deposit: Fraction) -> Co
     minions = dict(state.minions)
     minions[node] = deposit
     new_state = replace(state, minions=minions)
-    if new_state.committed_power() > state.config.threshold_t:
+    if state.config.powers.power_of(minions) > state.config.threshold_t:
         new_state = replace(new_state, phase=Phase.ATTACK_ORDERED, order=Protocol.MALICIOUS)
     return new_state
 

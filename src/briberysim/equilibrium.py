@@ -58,29 +58,12 @@ class Deviation:
     payoff_before: Fraction
     payoff_after: Fraction
 
-    def to_payload(self) -> dict:
-        return {
-            "node": self.node,
-            "deviation": self.strategy.value,
-            "payoff_before": format_rational(self.payoff_before),
-            "payoff_after": format_rational(self.payoff_after),
-        }
-
 
 @dataclass(frozen=True)
 class NashReport:
     is_strict_nash: bool
     counterexample: Deviation | None
     profiles_checked: int
-
-    def to_payload(self) -> dict:
-        return {
-            "is_strict_nash": self.is_strict_nash,
-            "profiles_checked": self.profiles_checked,
-            "counterexample": None
-            if self.counterexample is None
-            else self.counterexample.to_payload(),
-        }
 
 
 def is_strict_nash(params: GameParams, profile: StrategyProfile) -> NashReport:
@@ -141,24 +124,23 @@ class DominanceReport:
         }
 
 
-def _check_enumeration_limit(n: int, max_nodes: int = ENUMERATION_LIMIT) -> None:
-    if n > max_nodes:
-        raise EnumerationLimitError(f"n = {n} exceeds the enumeration limit {max_nodes}")
+def _check_enumeration_limit(n: int) -> None:
+    if n > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(f"n = {n} exceeds the enumeration limit {ENUMERATION_LIMIT}")
 
 
-def check_weak_dominance_game1(
-    params: GameParams, max_nodes: int = ENUMERATION_LIMIT
-) -> DominanceReport:
+def check_weak_dominance_game1(params: GameParams) -> DominanceReport:
     """Does commitment weakly dominate honesty in the collusion game?
 
     For each node, enumerates all 2^(n-1) opponent assignments and compares
     the node's payoff under COMMIT vs HONEST: never worse everywhere, and
-    strictly better against at least one opponent profile. An opponent
+    strictly better against at least one opponent profile. Both flags are
+    taken over all opponent assignments, so neither depends on scan order. An opponent
     assignment enters the payoff rule only through the committed weight of
     the other nodes, to which COMMIT adds the node's own weight.
     """
     n = params.n
-    _check_enumeration_limit(n, max_nodes)
+    _check_enumeration_limit(n)
     opponents_per_node = 2 ** (n - 1)
     total = sum(params.weights)
     per_node: list[NodeDominance] = []
@@ -178,8 +160,7 @@ def check_weak_dominance_game1(
             u_honest = _payoff_rule(params, Variant.COLLUSION, total - w_others, w_others)[0][node]
             if u_commit < u_honest:
                 never_worse = False
-                break
-            if u_commit > u_honest:
+            elif u_commit > u_honest:
                 strictly_better = True
         per_node.append(NodeDominance(node, never_worse, strictly_better))
     return DominanceReport(
@@ -194,7 +175,6 @@ class CascadeStep:
     step: int
     node_flipped: NodeId
     deviating: tuple[NodeId, ...]
-    profile: StrategyProfile
     payoffs: tuple[Fraction, ...]
     deviator_monotone: bool
 
@@ -263,7 +243,6 @@ def find_deviation_cascade(params: GameParams, order: Sequence[NodeId]) -> Casca
                 step=step_index,
                 node_flipped=node,
                 deviating=tuple(sorted(deviating)),
-                profile=profile,
                 payoffs=payoffs,
                 deviator_monotone=monotone,
             )
@@ -364,13 +343,13 @@ def verify_deposit_bound(params: GameParams, deposit: Fraction) -> DepositCheck:
 MUTATION_DEVIANT_REWARD_ABOVE_HONEST = "deviant_reward_above_honest"
 MUTATION_MALICIOUS_REWARD_BELOW_HONEST = "malicious_reward_below_honest"
 MUTATIONS = (MUTATION_DEVIANT_REWARD_ABOVE_HONEST, MUTATION_MALICIOUS_REWARD_BELOW_HONEST)
+REWARD_SCALE = 10  # r_h and each reward gap lie in 1..REWARD_SCALE (r_m - r_dp: twice that)
+POWER_SCALE = 20   # unnormalized power weights are drawn from 1..POWER_SCALE
 
 
 def random_game_params(
     rng: random.Random,
     n_range: tuple[int, int] = (3, 8),
-    reward_scale: int = 10,
-    power_scale: int = 20,
     mutation: str | None = None,
 ) -> GameParams:
     """Draw a valid parameter set by rejection sampling with repair.
@@ -387,19 +366,19 @@ def random_game_params(
     n_min, n_max = n_range
     n = rng.randint(n_min, n_max)
     while True:
-        weights = [rng.randint(1, power_scale) for _ in range(n)]
+        weights = [rng.randint(1, POWER_SCALE) for _ in range(n)]
         total = sum(weights)
         # t = t20/20 in [1/2, 3/4]; every power w/total must stay below it
         t20 = 10 + rng.randint(0, 5)
         if 20 * max(weights) < t20 * total:
             break
 
-    r_h = [rng.randint(1, reward_scale) for _ in range(n)]
+    r_h = [rng.randint(1, REWARD_SCALE) for _ in range(n)]
     d_sign = 1 if mutation == MUTATION_DEVIANT_REWARD_ABOVE_HONEST else -1
-    r_d = [r_h[i] + d_sign * rng.randint(1, reward_scale) for i in range(n)]
+    r_d = [r_h[i] + d_sign * rng.randint(1, REWARD_SCALE) for i in range(n)]
     m_sign = -1 if mutation == MUTATION_MALICIOUS_REWARD_BELOW_HONEST else 1
-    r_m = [r_h[i] + m_sign * rng.randint(1, reward_scale) for i in range(n)]
-    r_dp = [r_m[i] - rng.randint(1, 2 * reward_scale) for i in range(n)]
+    r_m = [r_h[i] + m_sign * rng.randint(1, REWARD_SCALE) for i in range(n)]
+    r_dp = [r_m[i] - rng.randint(1, 2 * REWARD_SCALE) for i in range(n)]
     return GameParams(
         powers=PowerDistribution(tuple(Fraction(w, total) for w in weights)),
         threshold_t=Fraction(t20, 20),

@@ -121,15 +121,18 @@ class PowerDistribution:
         # a Fraction's denominator is positive, so its numerator carries the sign
         return all(p.numerator > 0 for p in self.powers) and self.total() == 1
 
+    def power_of(self, nodes: Iterable[NodeId]) -> Fraction:
+        """Joint power of `nodes`, e.g. the minions of a sim or a contract."""
+        return sum((self.powers[i] for i in nodes), Fraction(0))
+
 
 @dataclass(frozen=True)
 class GameParams:
     """One parameter set shared by both games.
 
-    Reward vectors are per-node (heterogeneous rewards are allowed); use
-    `GameParams.uniform` when every node earns the same amounts. Arbitrary
-    candidates are accepted here so that `validate_params` can report
-    violations as data.
+    Reward vectors are per-node (heterogeneous rewards are allowed).
+    Arbitrary candidates are accepted here so that `validate_params` can
+    report violations as data.
     """
 
     powers: PowerDistribution
@@ -166,28 +169,6 @@ class GameParams:
     @property
     def n(self) -> int:
         return self.powers.n
-
-    @classmethod
-    def uniform(
-        cls,
-        powers: Iterable[Fraction | int | str],
-        threshold_t: Fraction | int | str,
-        reward_honest: Fraction | int | str,
-        reward_deviant_vs_honest: Fraction | int | str,
-        reward_malicious: Fraction | int | str,
-        reward_deviant_vs_malicious: Fraction | int | str,
-    ) -> "GameParams":
-        """Build params where every node has the same four rewards."""
-        dist = PowerDistribution(tuple(Fraction(p) for p in powers))
-        n = dist.n
-        return cls(
-            powers=dist,
-            threshold_t=Fraction(threshold_t),
-            reward_honest=(Fraction(reward_honest),) * n,
-            reward_deviant_vs_honest=(Fraction(reward_deviant_vs_honest),) * n,
-            reward_malicious=(Fraction(reward_malicious),) * n,
-            reward_deviant_vs_malicious=(Fraction(reward_deviant_vs_malicious),) * n,
-        )
 
 
 @dataclass(frozen=True)
@@ -232,21 +213,8 @@ def all_honest(n: int, variant: Variant) -> StrategyProfile:
     return StrategyProfile((Strategy.HONEST,) * n, variant)
 
 
-def all_malicious(n: int) -> StrategyProfile:
-    return StrategyProfile((Strategy.MALICIOUS,) * n, Variant.NO_COLLUSION)
-
-
 def all_commit(n: int) -> StrategyProfile:
     return StrategyProfile((Strategy.COMMIT,) * n, Variant.COLLUSION)
-
-
-@dataclass(frozen=True)
-class AggregatePowers:
-    """Power split induced by a profile: honest side vs the opposing side
-    (malicious nodes in the no-collusion game, committed nodes otherwise)."""
-
-    v_h: Fraction
-    v_opposing: Fraction
 
 
 def validate_params(params: GameParams) -> list[AssumptionViolation]:
@@ -341,29 +309,6 @@ def validate_params(params: GameParams) -> list[AssumptionViolation]:
             )
 
     return violations
-
-
-def is_valid(params: GameParams) -> bool:
-    return not validate_params(params)
-
-
-def aggregate_powers(profile: StrategyProfile, powers: PowerDistribution) -> AggregatePowers:
-    """Sum powers on each side of a profile.
-
-    For normalized distributions v_h + v_opposing == 1 exactly; both sides
-    are summed independently rather than taking a complement, so that the
-    identity is a checkable property of the arithmetic.
-    """
-    if profile.n != powers.n:
-        raise ValueError(f"profile has {profile.n} choices for {powers.n} nodes")
-    v_h = Fraction(0)
-    v_opposing = Fraction(0)
-    for choice, power in zip(profile.choices, powers):
-        if choice is Strategy.HONEST:
-            v_h += power
-        else:
-            v_opposing += power
-    return AggregatePowers(v_h=v_h, v_opposing=v_opposing)
 
 
 def _weight_split(params: GameParams, profile: StrategyProfile) -> tuple[int, int]:

@@ -108,7 +108,6 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    schema_version: int
     name: str
     seed: int
     params: GameParams | None
@@ -118,14 +117,7 @@ class Scenario:
     base_dir: Path
 
     def sim_config(self, rng_seed: int) -> SimConfig:
-        if self.sim is None:
-            raise ScenarioError("scenario has no 'sim' section")
         return replace(self.sim, rng_seed=rng_seed)
-
-    def require_params(self, task: str) -> GameParams:
-        if self.params is None:
-            raise ScenarioError(f"task '{task}' needs the scenario 'params' section")
-        return self.params
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -192,25 +184,31 @@ def load_scenario(path: str | Path) -> Scenario:
         tasks.append(TaskSpec(kind=kind, options=options))
 
     scenario = Scenario(
-        schema_version=version,
         name=doc["name"],
         seed=doc["seed"],
         params=params,
         sim=sim,
-        tasks=tuple(tasks),
+        tasks=(),
         output_dir=doc.get("output_dir"),
         base_dir=path.parent,
     )
-    _check_task_inputs(scenario)
-    return scenario
+    return with_tasks(scenario, tuple(tasks))
 
 
-def _check_task_inputs(scenario: Scenario) -> None:
-    for index, task in enumerate(scenario.tasks):
+def with_tasks(scenario: Scenario, tasks: tuple[TaskSpec, ...]) -> Scenario:
+    """`scenario` running `tasks` in place of its own.
+
+    Every task is checked here, the tasks of a scenario file and those a
+    CLI subcommand builds alike, so a bad one fails as `tasks[i] (<kind>)`
+    before any task runs.
+    """
+    scenario = replace(scenario, tasks=tasks)
+    for index, task in enumerate(tasks):
         try:
             _check_options(scenario, task)
         except ValueError as exc:
             raise ScenarioError(f"tasks[{index}] ({task.kind}): {exc}") from None
+    return scenario
 
 
 def _check_options(scenario: Scenario, task: TaskSpec) -> None:
@@ -435,6 +433,7 @@ def _run_task(
 ) -> TaskResult:
     task_seed = derive_seed(seed, "task", index)
     opts = task.options
+    params = scenario.params  # not None for the tasks that read it (_check_options)
 
     if task.kind in ("verify_t1", "verify_t3", "verify_t4"):
         theorem = task.kind.removeprefix("verify_").upper()
@@ -443,17 +442,14 @@ def _run_task(
         return TaskResult(task.kind, index, verification.all_passed, verification.to_payload())
 
     if task.kind == "dominance":
-        params = scenario.require_params(task.kind)
         dominance = check_weak_dominance_game1(params)
         return TaskResult(task.kind, index, dominance.weakly_dominates, dominance.to_payload())
 
     if task.kind == "cascade":
-        params = scenario.require_params(task.kind)
         trace = find_deviation_cascade(params, tuple(opts["order"]))
         return TaskResult(task.kind, index, trace.all_monotone, trace.to_payload())
 
     if task.kind == "deposit_bound":
-        params = scenario.require_params(task.kind)
         bound = deposit_bound(params)
         payload = {
             "deposit_bound": format_rational(bound),
@@ -560,7 +556,6 @@ def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int) -> Tas
             consensus=consensus,
             confirmations=conf,
             horizon_slots=horizon,
-            double_spend_value=d_m,
             rng_seed=0,  # replaced per run
             threshold_t=t,
         )

@@ -1,8 +1,9 @@
 """Shared test builders and independent oracles.
 
-Randomized contract sessions, a per-profile dominance scan and a counter
-model of the fork race: each oracle is written as directly as the model
-reads, so that the optimized code can be checked against it.
+A uniform-reward params builder, randomized contract sessions, a Fraction
+power split, a per-profile dominance scan and a counter model of the fork
+race: each oracle is written as directly as the model reads, so that the
+optimized code can be checked against it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,48 @@ from briberysim import (
     utility,
 )
 from briberysim.equilibrium import NodeDominance
+
+
+def uniform_params(powers, threshold_t, r_h, r_d, r_m, r_dp) -> GameParams:
+    """Params where every node earns the same four rewards (ints, strings or Fractions)."""
+    dist = PowerDistribution(tuple(Fraction(p) for p in powers))
+    n = dist.n
+    return GameParams(
+        powers=dist,
+        threshold_t=Fraction(threshold_t),
+        reward_honest=(Fraction(r_h),) * n,
+        reward_deviant_vs_honest=(Fraction(r_d),) * n,
+        reward_malicious=(Fraction(r_m),) * n,
+        reward_deviant_vs_malicious=(Fraction(r_dp),) * n,
+    )
+
+
+@dataclass(frozen=True)
+class AggregatePowers:
+    """Power split induced by a profile: honest side vs the opposing side
+    (malicious nodes in the no-collusion game, committed nodes otherwise)."""
+
+    v_h: Fraction
+    v_opposing: Fraction
+
+
+def aggregate_powers(profile: StrategyProfile, powers: PowerDistribution) -> AggregatePowers:
+    """Sum powers on each side of a profile, in Fractions.
+
+    For normalized distributions v_h + v_opposing == 1 exactly; both sides
+    are summed independently rather than taking a complement, so that the
+    identity is a checkable property of the arithmetic.
+    """
+    if profile.n != powers.n:
+        raise ValueError(f"profile has {profile.n} choices for {powers.n} nodes")
+    v_h = Fraction(0)
+    v_opposing = Fraction(0)
+    for choice, power in zip(profile.choices, powers):
+        if choice is Strategy.HONEST:
+            v_h += power
+        else:
+            v_opposing += power
+    return AggregatePowers(v_h=v_h, v_opposing=v_opposing)
 
 
 @dataclass
@@ -134,8 +177,7 @@ def dominance_by_profiles(params: GameParams) -> DominanceReport:
     """Weak-dominance scan over explicit collusion-game profiles.
 
     For each node and each of the 2^(n-1) opponent masks (bit b: the b-th
-    other node commits), compares `utility` under COMMIT and HONEST, stopping
-    at the first profile where committing is worse.
+    other node commits), compares `utility` under COMMIT and HONEST.
     """
     n = params.n
     opponents_per_node = 2 ** (n - 1)
@@ -155,8 +197,7 @@ def dominance_by_profiles(params: GameParams) -> DominanceReport:
             u_honest = utility(params, StrategyProfile(tuple(choices), Variant.COLLUSION), node)
             if u_commit < u_honest:
                 never_worse = False
-                break
-            if u_commit > u_honest:
+            elif u_commit > u_honest:
                 strictly_better = True
         per_node.append(NodeDominance(node, never_worse, strictly_better))
     return DominanceReport(

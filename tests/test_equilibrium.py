@@ -33,12 +33,13 @@ from briberysim.equilibrium import (
     MUTATION_MALICIOUS_REWARD_BELOW_HONEST,
     DepositCheck,
     EnumerationLimitError,
+    NodeDominance,
     _check_t3,
     deposit_bound_attained,
 )
 from briberysim.rational import format_rational
 from briberysim.scenario import TaskResult, table_csv
-from helpers import dominance_by_profiles
+from helpers import dominance_by_profiles, uniform_params
 
 H, C, M = Strategy.HONEST, Strategy.COMMIT, Strategy.MALICIOUS
 
@@ -81,7 +82,7 @@ class TestStrictNash:
     def test_power_exactly_at_threshold_is_not_enough(self):
         # nodes 0 and 1 hold 2/5 + 7/20 = 3/4 = t: exactly t executes nothing,
         # so the contract orders the honest protocol and pays everyone r_h
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "3/4", 2, -1, 5, -3)
+        params = uniform_params(("2/5", "7/20", "1/4"), "3/4", 2, -1, 5, -3)
         assert payoff_vector(params, StrategyProfile((C, C, H), Variant.COLLUSION)) == (2, 2, 2)
         # without collusion neither side clears t and the system stalls
         assert payoff_vector(params, StrategyProfile((M, M, H), Variant.NO_COLLUSION)) == (0, 0, 0)
@@ -102,7 +103,7 @@ class TestWeakDominance:
         assert utility(p3, me_too, 0) == 5
 
     def test_smaller_malicious_margin_still_dominates(self):
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "1/2", 2, -1, 3, -3)
+        params = uniform_params(("2/5", "7/20", "1/4"), "1/2", 2, -1, 3, -3)
         assert check_weak_dominance_game1(params).weakly_dominates
 
     def test_matches_profile_scan_on_random_instances(self):
@@ -114,12 +115,21 @@ class TestWeakDominance:
                 report = check_weak_dominance_game1(params)
                 assert report == dominance_by_profiles(params)
                 never_worse += [d.never_worse for d in report.per_node]
-        # both outcomes occur, so the early break is exercised
+        # both outcomes occur
         assert True in never_worse and False in never_worse
+
+    def test_strict_gain_counted_after_a_loss(self):
+        # r_m < r_h: node 0 loses by committing when only node 1 commits
+        # (opponent mask 1, 2 -> 1) and gains when both others do (mask 3,
+        # -3 -> 1); the gain counts although the scan meets the loss first
+        params = uniform_params(("2/5", "7/20", "1/4"), "1/2", 2, -1, 1, -3)
+        report = check_weak_dominance_game1(params)
+        assert report.per_node[0] == NodeDominance(0, False, True)
+        assert report == dominance_by_profiles(params)
 
     def test_enumeration_limit(self):
         n = 13
-        params = GameParams.uniform((Fraction(1, n),) * n, "1/2", 2, -1, 5, -3)
+        params = uniform_params((Fraction(1, n),) * n, "1/2", 2, -1, 5, -3)
         with pytest.raises(EnumerationLimitError):
             check_weak_dominance_game1(params)
 
@@ -174,7 +184,7 @@ class TestDepositBound:
         assert deposit_bound(p3) == 8
 
     def test_zero_penalties_reduce_to_malicious_reward(self):
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "1/2", "1/2", 0, 1, 0)
+        params = uniform_params(("2/5", "7/20", "1/4"), "1/2", "1/2", 0, 1, 0)
         assert deposit_bound(params) == 1
 
     def test_heterogeneous_maximum(self, p3):
@@ -209,7 +219,7 @@ class TestVerifyDepositBound:
     def test_unattained_bound_can_pass(self):
         # positive penalties leave slack between the bound and the true
         # worst payoff gap, so the bound itself already deters
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "1/2", 3, 1, 5, 2)
+        params = uniform_params(("2/5", "7/20", "1/4"), "1/2", 3, 1, 5, 2)
         assert not deposit_bound_attained(params)
         assert verify_deposit_bound(params, deposit_bound(params)).sufficient
 
@@ -350,7 +360,7 @@ class TestSubsetScanAgainstDirectUtilities:
     def test_subset_scan_can_fail(self):
         # r_m = 1 < r_h = 2: once nodes 0 and 1 (power 3/4 > 1/2) commit, the
         # contract orders the malicious protocol and they earn less
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "1/2", 2, -1, 1, -3)
+        params = uniform_params(("2/5", "7/20", "1/4"), "1/2", 2, -1, 1, -3)
         assert _check_t3(params) == "deviating subset 0x3: node 0 earns 1 < honest reward 2"
 
     def test_generator_output_is_always_valid(self):

@@ -14,10 +14,8 @@ from briberysim import (
     Strategy,
     StrategyProfile,
     Variant,
-    aggregate_powers,
     all_commit,
     all_honest,
-    is_valid,
     params_from_json_dict,
     params_to_json_dict,
     payoff_vector,
@@ -25,6 +23,7 @@ from briberysim import (
     utility,
     validate_params,
 )
+from helpers import aggregate_powers, uniform_params
 
 H, M, C = Strategy.HONEST, Strategy.MALICIOUS, Strategy.COMMIT
 
@@ -40,49 +39,48 @@ def game1(*choices):
 class TestValidateParams:
     def test_p3_is_valid(self, p3):
         assert validate_params(p3) == []
-        assert is_valid(p3)
 
     def test_single_node_reaching_threshold(self):
-        params = GameParams.uniform(("3/5", "2/5"), "1/2", 2, -1, 5, -3)
+        params = uniform_params(("3/5", "2/5"), "1/2", 2, -1, 5, -3)
         messages = [str(v) for v in validate_params(params)]
         assert "Assumption 5: v_0 = 3/5 >= t = 1/2" in messages
 
     def test_threshold_below_half(self):
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "1/4", 2, -1, 5, -3)
+        params = uniform_params(("2/5", "7/20", "1/4"), "1/4", 2, -1, 5, -3)
         violations = validate_params(params)
         assert any(v.assumption == 5 and "t = 1/4 < 1/2" in v.message for v in violations)
 
     def test_threshold_at_or_above_one(self):
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "1", 2, -1, 5, -3)
+        params = uniform_params(("2/5", "7/20", "1/4"), "1", 2, -1, 5, -3)
         assert any(v.assumption == 5 and "unreachable" in v.message for v in validate_params(params))
 
     def test_powers_not_normalized(self):
-        params = GameParams.uniform((Fraction(1, 2), Fraction(49, 100)), "3/5", 2, -1, 5, -3)
+        params = uniform_params((Fraction(1, 2), Fraction(49, 100)), "3/5", 2, -1, 5, -3)
         violations = validate_params(params)
         assert any(v.assumption == 1 and "sum to 99/100" in v.message for v in violations)
 
     def test_nonpositive_power(self):
-        params = GameParams.uniform((Fraction(0), Fraction(1)), "1/2", 2, -1, 5, -3)
+        params = uniform_params((Fraction(0), Fraction(1)), "1/2", 2, -1, 5, -3)
         assert any(v.assumption == 1 and v.node == 0 for v in validate_params(params))
 
     def test_single_node_set(self):
-        params = GameParams.uniform((Fraction(1),), "1/2", 2, -1, 5, -3)
+        params = uniform_params((Fraction(1),), "1/2", 2, -1, 5, -3)
         assert any(v.assumption == 1 and "at least 2 nodes" in v.message for v in validate_params(params))
 
     def test_honest_reward_must_be_positive(self):
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "1/2", 0, -1, 5, -3)
+        params = uniform_params(("2/5", "7/20", "1/4"), "1/2", 0, -1, 5, -3)
         assert any(v.assumption == 3 and "not positive" in v.message for v in validate_params(params))
 
     def test_deviant_reward_ordering(self):
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "1/2", 2, 2, 5, -3)
+        params = uniform_params(("2/5", "7/20", "1/4"), "1/2", 2, 2, 5, -3)
         assert any(v.assumption == 3 and v.node == 0 for v in validate_params(params))
 
     def test_malicious_reward_ordering(self):
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "1/2", 2, -1, 2, -3)
+        params = uniform_params(("2/5", "7/20", "1/4"), "1/2", 2, -1, 2, -3)
         assert any(v.assumption == 4 for v in validate_params(params))
 
     def test_contract_penalty_ordering(self):
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "1/2", 2, -1, 5, 5)
+        params = uniform_params(("2/5", "7/20", "1/4"), "1/2", 2, -1, 5, 5)
         assert any(v.assumption == 4 and "r_dp" in v.message for v in validate_params(params))
 
     def test_heterogeneous_rewards_validated_per_node(self, p3):
@@ -153,7 +151,7 @@ class TestUtilityNoCollusion:
         assert utility(p3, game0(M, H, H), 0) == -1
 
     def test_stall_pays_zero(self, p3):
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "3/5", 2, -1, 5, -3)
+        params = uniform_params(("2/5", "7/20", "1/4"), "3/5", 2, -1, 5, -3)
         profile = game0(H, M, M)  # v_h = 2/5 <= 3/5 and v_m = 3/5 <= 3/5
         assert [utility(params, profile, i) for i in range(3)] == [0, 0, 0]
 
@@ -178,7 +176,7 @@ class TestUtilityCollusion:
     def test_near_stall_pays_honest_reward(self):
         # v_h = 2/5 and committed power 3/5 are both <= t = 3/5: the
         # contract orders the honest protocol, which then runs at full power
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "3/5", 2, -1, 5, -3)
+        params = uniform_params(("2/5", "7/20", "1/4"), "3/5", 2, -1, 5, -3)
         profile = game1(H, C, C)
         assert [utility(params, profile, i) for i in range(3)] == [2, 2, 2]
 
@@ -235,12 +233,12 @@ class TestCaseExclusivity:
 
     @pytest.mark.parametrize("t", ["1/2", "3/5", "7/10"])
     def test_no_collusion_cases(self, t):
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), t, 2, -1, 5, -3)
+        params = uniform_params(("2/5", "7/20", "1/4"), t, 2, -1, 5, -3)
         _assert_one_case_fires(params, Variant.NO_COLLUSION)
 
     @pytest.mark.parametrize("t", ["1/2", "3/5", "7/10"])
     def test_collusion_cases(self, t):
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), t, 2, -1, 5, -3)
+        params = uniform_params(("2/5", "7/20", "1/4"), t, 2, -1, 5, -3)
         _assert_one_case_fires(params, Variant.COLLUSION)
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -251,7 +249,7 @@ class TestCaseExclusivity:
 
     def test_power_sum_exactly_at_threshold(self):
         # v_h lands exactly on t: strict comparison sends this to the stall case
-        params = GameParams.uniform(("2/5", "7/20", "1/4"), "3/5", 2, -1, 5, -3)
+        params = uniform_params(("2/5", "7/20", "1/4"), "3/5", 2, -1, 5, -3)
         profile = game0(M, H, H)  # v_h = 3/5 == t
         assert utility(params, profile, 0) == 0
         assert utility(params, profile, 1) == 0
@@ -350,14 +348,11 @@ class TestFractionCoercion:
             consensus=Consensus.POS_SLASHING,
             confirmations=2,
             horizon_slots=10,
-            double_spend_value=rewards[2],
             rng_seed=0,
             threshold_t=t,
         )
         assert all(type(p) is Fraction for p in config.powers)
-        assert type(config.double_spend_value) is Fraction
         assert type(config.threshold_t) is Fraction
-        assert config.double_spend_value == Fraction(rewards[2])
         assert config.threshold_t == Fraction(t)
 
     def test_fractions_are_kept_not_rebuilt(self):

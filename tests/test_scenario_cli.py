@@ -41,11 +41,11 @@ P3_SIM = {
     "consensus": "pow_longest_chain",
     "confirmations": 3,
     "horizon_slots": 2000,
-    "double_spend_value": "20",
 }
 
 
 def write_scenario(path: Path, **overrides) -> Path:
+    """Write a scenario file; an override of None drops that section."""
     doc = {
         "schema_version": 1,
         "name": "test-scenario",
@@ -55,6 +55,7 @@ def write_scenario(path: Path, **overrides) -> Path:
         "tasks": [],
     }
     doc.update(overrides)
+    doc = {key: value for key, value in doc.items() if value is not None}
     file = path / "scenario.json"
     file.write_text(json.dumps(doc), encoding="utf-8")
     return file
@@ -233,7 +234,6 @@ class TestSweep:
             powers=["3/10", "3/10", "1/5", "1/5"],
             minions=[0, 1],
             horizon_slots=800,
-            double_spend_value="9",
         )
         file = write_scenario(
             tmp_path,
@@ -426,10 +426,26 @@ class TestCli:
         assert main(["contract-trace", str(tmp_path / "short.jsonl")]) == 2
         assert expected.replace("tasks[1]", "tasks[0]") in capsys.readouterr().err
 
-    def test_chain_sim_runs_flag_below_one_exits_2(self, tmp_path, capsys):
-        file = write_scenario(tmp_path, tasks=[{"kind": "chain_sim", "runs": 3}])
-        assert main(["chain-sim", str(file), "--runs", "0"]) == 2
-        assert "--runs must be >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, dropped, kind, message",
+        [
+            (["cascade", "{scenario}", "--order", "0,5"], None, "cascade", "not a permutation"),
+            (["cascade", "{scenario}", "--order", "0,1"], "params", "cascade", "no 'params'"),
+            (["chain-sim", "{scenario}"], "sim", "chain_sim", "no 'sim'"),
+            (["chain-sim", "{scenario}", "--runs", "0"], None, "chain_sim", "'runs': must be >= 1"),
+            (["contract-trace", "{dir}/nope.jsonl"], None, "contract_trace", "not found"),
+        ],
+        ids=["cascade-bad-order", "cascade-no-params", "chain-sim-no-sim", "chain-sim-runs-0",
+             "contract-trace-missing-file"],
+    )
+    def test_subcommand_errors_name_the_task(self, tmp_path, capsys, argv, dropped, kind, message):
+        # subcommands check the tasks they build as load_scenario checks a file's
+        file = write_scenario(tmp_path, **({dropped: None} if dropped else {}))
+        argv = [arg.format(scenario=file, dir=tmp_path) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: tasks[0] ({kind}): " in err and message in err
+        assert "Traceback" not in err
 
     def test_missing_scenario_file_exits_2(self, capsys):
         assert main(["verify", "does-not-exist.json"]) == 2
