@@ -139,6 +139,11 @@ def cmd_contract_trace(args) -> int:
 
 def cmd_chain_sim(args) -> int:
     scenario = load_scenario(args.scenario)
+    if args.trace and args.out is None and not scenario.output_dir:
+        raise ScenarioError(
+            "--trace needs an output directory: the trace is written only as "
+            "chain_trace_<i>.csv under --out (or the scenario's output_dir)"
+        )
     tasks = tuple(t for t in scenario.tasks if t.kind == "chain_sim")
     if not tasks:
         tasks = (TaskSpec("chain_sim", {"runs": 1}),)

@@ -12,9 +12,13 @@ randomly generated valid parameter sets:
   not strict: a lone deviator always breaks even).
 * T4: in the collusion game, all-commit is a strict Nash equilibrium.
 
-Everything here is exact: threshold tests compare the integer weights of
-`GameParams`, rewards are Fractions. Profile scans are exhaustive (2^n
-subsets), which caps enumeration at small n.
+Everything here is exact: threshold tests compare integer weights, and
+rewards are Fractions or integers. The randomized verifier checks each
+instance as the integers it was drawn as (`_Draw`) and builds a
+`GameParams`, with Fraction powers and rewards, only for the instance it
+reports as failing; `random_game_params` builds one for its callers.
+Profile scans are exhaustive (2^n subsets), which caps enumeration at
+small n.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .games import (
     GameParams,
@@ -347,20 +351,27 @@ REWARD_SCALE = 10  # r_h and each reward gap lie in 1..REWARD_SCALE (r_m - r_dp:
 POWER_SCALE = 20   # unnormalized power weights are drawn from 1..POWER_SCALE
 
 
-def random_game_params(
-    rng: random.Random,
-    n_range: tuple[int, int] = (3, 8),
-    mutation: str | None = None,
-) -> GameParams:
-    """Draw a valid parameter set by rejection sampling with repair.
+class _Draw(NamedTuple):
+    """One random instance as the integers it was drawn as.
 
-    Powers come from normalized positive random integers, redrawn until no
-    node reaches the threshold; rewards are integers repaired to satisfy
-    the ordering constraints. `mutation` deliberately breaks one repair,
-    for verifying that the theorem checkers can fail: r_d above r_h
-    (deviating from the honest protocol pays; breaks T1) or r_m below r_h
-    (the bribed protocol pays less; breaks T3 and T4).
+    Powers are w_i/total and t is t20/20, so `weights` holds 20·w_i and
+    `t_weight` t20·total: integers over the common denominator 20·total,
+    which decide every threshold test as `GameParams.weights` would. The
+    rewards are the drawn integers. The checks read only these attributes,
+    so they run on a draw as they run on a `GameParams`.
     """
+
+    n: int
+    weights: tuple[int, ...]
+    t_weight: int
+    reward_honest: tuple[int, ...]
+    reward_deviant_vs_honest: tuple[int, ...]
+    reward_malicious: tuple[int, ...]
+    reward_deviant_vs_malicious: tuple[int, ...]
+
+
+def _draw(rng: random.Random, n_range: tuple[int, int], mutation: str | None) -> _Draw:
+    """The instance `random_game_params` describes, as integers."""
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}; known: {MUTATIONS}")
     n_min, n_max = n_range
@@ -379,14 +390,50 @@ def random_game_params(
     m_sign = -1 if mutation == MUTATION_MALICIOUS_REWARD_BELOW_HONEST else 1
     r_m = [r_h[i] + m_sign * rng.randint(1, REWARD_SCALE) for i in range(n)]
     r_dp = [r_m[i] - rng.randint(1, 2 * REWARD_SCALE) for i in range(n)]
-    return GameParams(
-        powers=PowerDistribution(tuple(Fraction(w, total) for w in weights)),
-        threshold_t=Fraction(t20, 20),
+    return _Draw(
+        n=n,
+        weights=tuple(20 * w for w in weights),
+        t_weight=t20 * total,
         reward_honest=tuple(r_h),
         reward_deviant_vs_honest=tuple(r_d),
         reward_malicious=tuple(r_m),
         reward_deviant_vs_malicious=tuple(r_dp),
     )
+
+
+def _game_params(draw: _Draw) -> GameParams:
+    """The `GameParams` of a draw: powers w_i/total and t = t20/20 as Fractions."""
+    scale = sum(draw.weights)
+    return GameParams(
+        powers=PowerDistribution(tuple(Fraction(w, scale) for w in draw.weights)),
+        threshold_t=Fraction(draw.t_weight, scale),
+        reward_honest=draw.reward_honest,
+        reward_deviant_vs_honest=draw.reward_deviant_vs_honest,
+        reward_malicious=draw.reward_malicious,
+        reward_deviant_vs_malicious=draw.reward_deviant_vs_malicious,
+    )
+
+
+def random_game_params(
+    rng: random.Random,
+    n_range: tuple[int, int] = (3, 8),
+    mutation: str | None = None,
+) -> GameParams:
+    """Draw a valid parameter set by rejection sampling with repair.
+
+    Powers come from normalized positive random integers, redrawn until no
+    node reaches the threshold; rewards are integers repaired to satisfy
+    the ordering constraints. `mutation` deliberately breaks one repair,
+    for verifying that the theorem checkers can fail: r_d above r_h
+    (deviating from the honest protocol pays; breaks T1) or r_m below r_h
+    (the bribed protocol pays less; breaks T3 and T4).
+
+    The draw itself is integers (`_draw`), and `verify_theorem` checks it
+    as such: it builds Fractions only for the instance it reports as
+    failing. This function builds them for its callers, from the same
+    `rng` calls in the same order.
+    """
+    return _game_params(_draw(rng, n_range, mutation))
 
 
 # --- Theorem verification --------------------------------------------------
@@ -511,7 +558,8 @@ def verify_theorem(
     there); T4 checks all-commit strictness. The report is a pure function
     of (theorem, generator_seed, instances, n_range, mutation): each
     instance draws from its own stream derived from the seed and the
-    instance index.
+    instance index. Instances are checked as integer draws; only the
+    reported failure is converted to a `GameParams`.
     """
     if theorem not in _CHECKS:
         raise ValueError(f"theorem must be one of {sorted(_CHECKS)}, got {theorem!r}")
@@ -519,14 +567,14 @@ def verify_theorem(
     check = _CHECKS[theorem]
     for index in range(instances):
         rng = random.Random(derive_seed(generator_seed, "instance", index))
-        params = random_game_params(rng, n_range, mutation=mutation)
-        failure = check(params)
+        draw = _draw(rng, n_range, mutation)
+        failure = check(draw)
         if failure is not None:
             return VerificationReport(
                 theorem=theorem,
                 instances_tested=index + 1,
                 all_passed=False,
-                first_failure=TheoremFailure(index, params, failure),
+                first_failure=TheoremFailure(index, _game_params(draw), failure),
             )
     return VerificationReport(
         theorem=theorem, instances_tested=instances, all_passed=True, first_failure=None

@@ -161,6 +161,10 @@ def load_scenario(path: str | Path) -> Scenario:
                 + "; ".join(str(v) for v in violations)
             )
 
+    output_dir = doc.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ScenarioError(f"scenario {path}: 'output_dir' must be a path string")
+
     sim = None
     if "sim" in doc:
         try:
@@ -189,7 +193,7 @@ def load_scenario(path: str | Path) -> Scenario:
         params=params,
         sim=sim,
         tasks=(),
-        output_dir=doc.get("output_dir"),
+        output_dir=output_dir,
         base_dir=path.parent,
     )
     return with_tasks(scenario, tuple(tasks))
@@ -405,13 +409,14 @@ def run_scenario(
 ) -> RunReport:
     """Execute the scenario's tasks in declared order and write artifacts.
 
-    `seed` overrides the scenario seed. Task failures are results (reflected
-    in the report and the exit code), not exceptions; only I/O and malformed
-    inputs raise.
+    `seed` overrides the scenario seed, and `output_dir` (relative to the
+    current directory) the scenario's own `output_dir` (relative to the
+    scenario file). Task failures are results (reflected in the report and
+    the exit code), not exceptions; only I/O and malformed inputs raise.
     """
     seed = scenario.seed if seed is None else seed
     out = Path(output_dir) if output_dir is not None else (
-        Path(scenario.output_dir) if scenario.output_dir else None
+        scenario.base_dir / scenario.output_dir if scenario.output_dir else None
     )
     report = RunReport(scenario_name=scenario.name, seed=seed, tool_version=__version__)
     started = time.perf_counter()

@@ -1,13 +1,15 @@
 """Shared test builders and independent oracles.
 
 A uniform-reward params builder, randomized contract sessions, a Fraction
-power split, a per-profile dominance scan and a counter model of the fork
-race: each oracle is written as directly as the model reads, so that the
-optimized code can be checked against it.
+power split, a per-profile dominance scan, a counter model of the fork
+race and exact binomial acceptance ranges: each oracle is written as
+directly as the model reads, so that the optimized code can be checked
+against it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -240,3 +242,21 @@ def race_by_counters(config: SimConfig) -> tuple[bool, int, int, int]:
         else:
             honest += 1
     return False, config.horizon_slots, fork, 0
+
+
+def binomial_acceptance_range(n: int, p: Fraction, alpha: Fraction) -> tuple[int, int]:
+    """The [lo, hi] hit counts that n Bernoulli(p) trials fall outside with
+    probability at most alpha, alpha/2 per tail, from exact binomial tails."""
+    a, b = p.numerator, p.denominator
+    # P(X = k) = C(n, k) a^k (b - a)^(n - k) / b^n: integers over one denominator
+    weights = [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
+    budget = alpha / 2 * b**n
+    lo, tail = 0, 0
+    while tail + weights[lo] <= budget:
+        tail += weights[lo]
+        lo += 1
+    hi, tail = n, 0
+    while tail + weights[hi] <= budget:
+        tail += weights[hi]
+        hi -= 1
+    return lo, hi

@@ -7,7 +7,6 @@ Everything is seeded, so these results are reproducible bit for bit.
 
 import hashlib
 import itertools
-import math
 import random
 import time
 from fractions import Fraction
@@ -34,7 +33,7 @@ from briberysim import (
 )
 from briberysim.equilibrium import deposit_bound_attained
 from briberysim.seeding import derive_seed
-from helpers import random_contract_session
+from helpers import binomial_acceptance_range, random_contract_session
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 P3_POWERS = PowerDistribution(("2/5", "7/20", "1/4"))
@@ -191,24 +190,6 @@ def _pow_success_rate(minions, confirmations, horizon, runs, label):
         if run_attack(config).success:
             hits += 1
     return hits, runs
-
-
-def binomial_acceptance_range(n: int, p: Fraction, alpha: Fraction) -> tuple[int, int]:
-    """The [lo, hi] hit counts that n Bernoulli(p) trials fall outside with
-    probability at most alpha, alpha/2 per tail, from exact binomial tails."""
-    a, b = p.numerator, p.denominator
-    # P(X = k) = C(n, k) a^k (b - a)^(n - k) / b^n: integers over one denominator
-    weights = [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
-    budget = alpha / 2 * b**n
-    lo, tail = 0, 0
-    while tail + weights[lo] <= budget:
-        tail += weights[lo]
-        lo += 1
-    hi, tail = n, 0
-    while tail + weights[hi] <= budget:
-        tail += weights[hi]
-        hi -= 1
-    return lo, hi
 
 
 def test_c8_pow_race_agrees_with_gamblers_ruin():

@@ -37,6 +37,7 @@ from briberysim.equilibrium import (
     _check_t3,
     deposit_bound_attained,
 )
+from briberysim.games import params_to_json_dict
 from briberysim.rational import format_rational
 from briberysim.scenario import TaskResult, table_csv
 from helpers import dominance_by_profiles, uniform_params
@@ -47,6 +48,11 @@ H, C, M = Strategy.HONEST, Strategy.COMMIT, Strategy.MALICIOUS
 # mutation, deviant_reward_above_honest}, 60 instances each: pins every drawn
 # instance, verdict and failure text
 THEOREM_DIGEST = "61bc61d95cee595e9c4b2f8e95254066a02422f0daa0a7a4282ab9704bbd89c2"
+
+# sha256 of params_to_json_dict(random_game_params(Random(seed), (3, 8),
+# mutation)) over seeds 0-59 x {no mutation, both MUTATIONS}: pins the
+# Fractions every drawn instance converts to
+DRAWN_PARAMS_DIGEST = "d9f0ec09d47621371655d3aca9b2a9fc8d03aa99f0d6cea77636101228f9359e"
 
 
 def theorem_digest() -> str:
@@ -339,6 +345,43 @@ class TestVerifyTheorem:
             "all_passed": True,
             "first_failure": None,
         }
+
+
+class TestIntegerDraws:
+    def test_checks_read_the_draw_as_its_game_params(self):
+        # every check must say the same of an integer draw as of the
+        # GameParams it converts to, and the conversion must be the instance
+        # random_game_params draws from the same stream, as pinned
+        failures = {theorem: 0 for theorem in equilibrium._CHECKS}
+        digest = hashlib.sha256()
+        for seed in range(60):
+            for mutation in (None, *equilibrium.MUTATIONS):
+                draw = equilibrium._draw(random.Random(seed), (3, 8), mutation)
+                params = equilibrium._game_params(draw)
+                assert params == random_game_params(random.Random(seed), (3, 8), mutation)
+                digest.update(json.dumps(params_to_json_dict(params)).encode())
+                for theorem, check in equilibrium._CHECKS.items():
+                    text = check(draw)
+                    assert text == check(params), (theorem, seed, mutation)
+                    failures[theorem] += text is not None
+        assert digest.hexdigest() == DRAWN_PARAMS_DIGEST
+        # the comparison covers failure texts, not only passes
+        assert failures["T1"] and failures["T3"] and failures["T4"]
+
+    def test_game_params_built_only_for_the_reported_failure(self, monkeypatch):
+        built = []
+        post_init = GameParams.__post_init__
+
+        def counting(params):
+            built.append(params)
+            post_init(params)
+
+        monkeypatch.setattr(GameParams, "__post_init__", counting)
+        assert verify_theorem("T1", 42, 200).all_passed
+        assert built == []
+        report = verify_theorem("T1", 5, 200, mutation=MUTATION_DEVIANT_REWARD_ABOVE_HONEST)
+        assert not report.all_passed
+        assert built == [report.first_failure.params]
 
 
 class TestSubsetScanAgainstDirectUtilities:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 
 from briberysim import ScenarioError, load_scenario, run_scenario
 from briberysim.cli import main
-from briberysim.scenario import TABLE_ARTIFACT_KINDS, report_json
+from briberysim.scenario import TABLE_ARTIFACT_KINDS, TASK_KINDS, TASK_OPTIONS, report_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPO_SCENARIOS = REPO_ROOT / "scenarios"
@@ -116,6 +117,11 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="'seed'"):
             load_scenario(file)
 
+    def test_non_string_output_dir_rejected(self, tmp_path):
+        file = write_scenario(tmp_path, output_dir=5)
+        with pytest.raises(ScenarioError, match="'output_dir' must be a path string"):
+            load_scenario(file)
+
     def test_bad_schema_version(self, tmp_path):
         file = write_scenario(tmp_path, schema_version=2)
         with pytest.raises(ScenarioError, match="schema_version"):
@@ -183,6 +189,19 @@ class TestRunScenario:
         overridden = run_scenario(scenario, seed=8)
         assert base.seed == 7 and overridden.seed == 8
         assert report_json(base) != report_json(overridden)
+
+    def test_output_dir_relative_to_scenario_file(self, tmp_path, monkeypatch):
+        # a scenario's output_dir resolves against the scenario file, as a
+        # contract_trace 'events' path does; --out against the current directory
+        (tmp_path / "sc").mkdir()
+        file = write_scenario(tmp_path / "sc", output_dir="o").rename(tmp_path / "sc" / "s.json")
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert main(["verify", "../sc/s.json"]) == 0
+        assert (tmp_path / "sc" / "o" / "report.json").is_file()
+        assert not (tmp_path / "cwd" / "o").exists()
+        assert main(["verify", "../sc/s.json", "--out", "x"]) == 0
+        assert (tmp_path / "cwd" / "x" / "report.json").is_file()
 
     def test_wall_time_not_serialized(self, tmp_path):
         file = write_scenario(tmp_path, tasks=[])
@@ -365,6 +384,20 @@ class TestCli:
         trace = (out / "chain_trace_0.csv").read_text()
         assert trace.splitlines()[0] == "slot,producer,chain,height,event"
 
+    def test_chain_sim_trace_needs_an_output_directory(self, tmp_path, capsys, monkeypatch):
+        file = write_scenario(tmp_path, tasks=[{"kind": "chain_sim", "runs": 1}])
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert main(["chain-sim", str(file), "--trace"]) == 2
+        err = capsys.readouterr().err
+        assert "error: --trace needs an output directory" in err and "chain_trace_<i>.csv" in err
+        assert "Traceback" not in err
+        assert list((tmp_path / "cwd").iterdir()) == []
+        # the scenario's own output_dir is one
+        file = write_scenario(tmp_path, tasks=[{"kind": "chain_sim", "runs": 1}], output_dir="o")
+        assert main(["chain-sim", str(file), "--trace"]) == 0
+        assert (tmp_path / "o" / "chain_trace_0.csv").is_file()
+
     def test_sweep_subcommand_requires_sweep_task(self, tmp_path, capsys):
         file = write_scenario(tmp_path, tasks=[])
         assert main(["sweep", str(file)]) == 2
@@ -456,3 +489,35 @@ class TestCli:
         assert main(["verify", str(file), "--seed", "123", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 123
+
+
+def outside_parentheses(text: str) -> str:
+    """`text` without its parenthesized parts, nested ones included."""
+    depth, kept = 0, []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0:
+            kept.append(ch)
+    return "".join(kept)
+
+
+def test_readme_options_table_matches_task_options():
+    # each row of the README's per-kind options table names, outside its
+    # parenthesized notes, exactly the options the loader accepts
+    lines = (REPO_ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| kind | options |") + 2
+    documented = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        kinds, options = (cell.strip() for cell in line.strip("|").split("|"))
+        names = set(re.findall(r"`([^`]+)`", outside_parentheses(options)))
+        for kind in re.findall(r"`([^`]+)`", kinds):
+            assert kind not in documented, kind
+            documented[kind] = names
+    assert set(documented) == set(TASK_KINDS)
+    for kind in TASK_KINDS:
+        assert documented[kind] == set(TASK_OPTIONS[kind]), kind
