@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .contract import ContractError
 from .scenario import (
     RunReport,
     Scenario,
@@ -98,6 +97,12 @@ def _emit(report: RunReport, args) -> int:
     return report.exit_code
 
 
+def _run_tasks(scenario: Scenario, tasks: tuple[TaskSpec, ...], args) -> int:
+    """Run `tasks` on `scenario`, parsed as a scenario load parses its own, and print."""
+    report = run_scenario(with_tasks(scenario, tasks), output_dir=args.out, seed=args.seed)
+    return _emit(report, args)
+
+
 def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
     report = run_scenario(scenario, output_dir=args.out, seed=args.seed)
@@ -116,9 +121,7 @@ def cmd_cascade(args) -> int:
         tasks = tuple(t for t in scenario.tasks if t.kind == "cascade")
         if not tasks:
             raise ScenarioError("scenario has no cascade task; pass --order")
-    scenario = with_tasks(scenario, tasks)
-    report = run_scenario(scenario, output_dir=args.out, seed=args.seed)
-    return _emit(report, args)
+    return _run_tasks(scenario, tasks, args)
 
 
 def cmd_contract_trace(args) -> int:
@@ -132,34 +135,17 @@ def cmd_contract_trace(args) -> int:
         output_dir=None,
         base_dir=events.parent,
     )
-    scenario = with_tasks(scenario, (TaskSpec("contract_trace", {"events": events.name}),))
-    report = run_scenario(scenario, output_dir=args.out, seed=args.seed)
-    return _emit(report, args)
+    return _run_tasks(scenario, (TaskSpec("contract_trace", {"events": events.name}),), args)
 
 
 def cmd_chain_sim(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.trace and args.out is None and not scenario.output_dir:
-        raise ScenarioError(
-            "--trace needs an output directory: the trace is written only as "
-            "chain_trace_<i>.csv under --out (or the scenario's output_dir)"
-        )
-    tasks = tuple(t for t in scenario.tasks if t.kind == "chain_sim")
-    if not tasks:
-        tasks = (TaskSpec("chain_sim", {"runs": 1}),)
-    if args.runs is not None or args.trace:
-        patched = []
-        for task in tasks:
-            options = dict(task.options)
-            if args.runs is not None:
-                options["runs"] = args.runs
-            if args.trace:
-                options["trace"] = True
-            patched.append(TaskSpec("chain_sim", options))
-        tasks = tuple(patched)
-    scenario = with_tasks(scenario, tasks)
-    report = run_scenario(scenario, output_dir=args.out, seed=args.seed)
-    return _emit(report, args)
+    tasks = [t for t in scenario.tasks if t.kind == "chain_sim"] or [TaskSpec("chain_sim", {})]
+    overrides = {} if args.runs is None else {"runs": args.runs}
+    if args.trace:
+        overrides["trace"] = True
+    tasks = tuple(TaskSpec("chain_sim", {**t.options, **overrides}) for t in tasks)
+    return _run_tasks(scenario, tasks, args)
 
 
 def cmd_sweep(args) -> int:
@@ -167,9 +153,7 @@ def cmd_sweep(args) -> int:
     tasks = tuple(t for t in scenario.tasks if t.kind == "sweep")
     if not tasks:
         raise ScenarioError("scenario has no sweep task")
-    scenario = with_tasks(scenario, tasks)
-    report = run_scenario(scenario, output_dir=args.out, seed=args.seed)
-    return _emit(report, args)
+    return _run_tasks(scenario, tasks, args)
 
 
 def main(argv=None) -> int:
@@ -177,7 +161,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ContractError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -133,6 +133,15 @@ def _check_enumeration_limit(n: int) -> None:
         raise EnumerationLimitError(f"n = {n} exceeds the enumeration limit {ENUMERATION_LIMIT}")
 
 
+def _subset_weights(weights: Sequence[int]) -> list[int]:
+    """Every subset's weight sum by bitmask (bit b: `weights[b]`), one addition each."""
+    sums = [0] * (1 << len(weights))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    return sums
+
+
 def check_weak_dominance_game1(params: GameParams) -> DominanceReport:
     """Does commitment weakly dominate honesty in the collusion game?
 
@@ -149,13 +158,8 @@ def check_weak_dominance_game1(params: GameParams) -> DominanceReport:
     total = sum(params.weights)
     per_node: list[NodeDominance] = []
     for node, w_node in enumerate(params.weights):
-        others = params.weights[:node] + params.weights[node + 1:]
-        # committed weight of the others per mask (bit b: the b-th other node
-        # commits), by the lowest-set-bit recurrence
-        committed = [0] * opponents_per_node
-        for mask in range(1, opponents_per_node):
-            low = mask & -mask
-            committed[mask] = committed[mask ^ low] + others[low.bit_length() - 1]
+        # committed weight of the others per mask (bit b: the b-th other node commits)
+        committed = _subset_weights(params.weights[:node] + params.weights[node + 1:])
         never_worse = True
         strictly_better = False
         for w_others in committed:
@@ -482,15 +486,17 @@ def _check_strict_nash(params: GameParams, profile: StrategyProfile, label: str)
 
 
 def _check_t3(params: GameParams) -> str | None:
+    """The first deviating subset with a member earning below its honest reward.
+
+    That all-honest is not strict in the collusion game needs no check of
+    its own: a passing scan has found each lone committer (a singleton
+    mask) earning at least its honest reward, so that deviation breaks even.
+    """
     n = params.n
     full = (1 << n) - 1
     r_h = params.reward_honest
-    # subset weight sums via the lowest-set-bit recurrence; the honest side
-    # of a deviating subset is its complement
-    subset_weight = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        subset_weight[mask] = subset_weight[mask ^ low] + params.weights[low.bit_length() - 1]
+    # the honest side of a deviating subset is its complement
+    subset_weight = _subset_weights(params.weights)
     # bitmask of the nodes that earn below r_h, once per reward tuple the
     # rule returns (keyed by identity; the tuple is kept so its id stays unique)
     below_by_id: dict[int, tuple[tuple[Fraction, ...], int]] = {}
@@ -509,9 +515,6 @@ def _check_t3(params: GameParams) -> str | None:
                 f"deviating subset {mask:#x}: node {i} earns {format_rational(committed[i])} < "
                 f"honest reward {format_rational(r_h[i])}"
             )
-    nash = is_strict_nash(params, all_honest(n, Variant.COLLUSION))
-    if nash.is_strict_nash:
-        return "all-honest is strict in the collusion game, but a lone deviator must break even"
     return None
 
 
@@ -554,8 +557,8 @@ def verify_theorem(
     T1 checks all-honest strictness in the no-collusion game; T2 checks
     that a deposit one above the deposit bound deters and that an attained
     bound does not (the bound is exclusive); T3 scans all 2^n - 1 deviating
-    subsets in the collusion game (and that all-honest is not strict
-    there); T4 checks all-commit strictness. The report is a pure function
+    subsets in the collusion game (so all-honest is not strict there);
+    T4 checks all-commit strictness. The report is a pure function
     of (theorem, generator_seed, instances, n_range, mutation): each
     instance draws from its own stream derived from the seed and the
     instance index. Instances are checked as integer draws; only the

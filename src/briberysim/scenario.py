@@ -6,6 +6,10 @@ checks, dominance, cascade monotonicity, deposit bound) or produce data
 (contract trace replay, chain simulations, parameter sweeps). Reports are
 machine-readable: one JSON report per run plus per-task CSV artifacts.
 
+Each task is parsed once, at load (`with_tasks`), into the arguments its run
+takes; a `contract_trace` event log is replayed then, so a malformed option
+or event line fails before any task runs.
+
 Reproducibility contract: every random draw derives from the scenario seed
 and a task/run/cell index path, frequencies are reported as exact
 count/total rationals, and the serialized report contains no timestamps,
@@ -27,7 +31,6 @@ from . import __version__
 from .chainsim import (
     Consensus,
     SimConfig,
-    run_attack,
     run_attack_detailed,
     sim_config_from_payload,
     trace_to_csv,
@@ -104,6 +107,7 @@ class ScenarioError(ValueError):
 class TaskSpec:
     kind: str
     options: dict
+    args: tuple | None = None  # the options parsed into what the run takes; set by `with_tasks`
 
 
 @dataclass(frozen=True)
@@ -200,22 +204,24 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def with_tasks(scenario: Scenario, tasks: tuple[TaskSpec, ...]) -> Scenario:
-    """`scenario` running `tasks` in place of its own.
+    """`scenario` running `tasks` in place of its own, each parsed into its `args`.
 
-    Every task is checked here, the tasks of a scenario file and those a
-    CLI subcommand builds alike, so a bad one fails as `tasks[i] (<kind>)`
-    before any task runs.
+    This is the only reader of task options, for the tasks of a scenario
+    file and those a CLI subcommand builds alike. A `contract_trace` task's
+    event log is replayed and settled here. A bad option or event line
+    fails as `tasks[i] (<kind>): ...` before any task runs.
     """
-    scenario = replace(scenario, tasks=tasks)
+    parsed = []
     for index, task in enumerate(tasks):
         try:
-            _check_options(scenario, task)
+            parsed.append(replace(task, args=_parse_task(scenario, task)))
         except ValueError as exc:
             raise ScenarioError(f"tasks[{index}] ({task.kind}): {exc}") from None
-    return scenario
+    return replace(scenario, tasks=tuple(parsed))
 
 
-def _check_options(scenario: Scenario, task: TaskSpec) -> None:
+def _parse_task(scenario: Scenario, task: TaskSpec) -> tuple:
+    """The arguments `task`'s run takes, parsed from its options."""
     opts = task.options
     known = TASK_OPTIONS[task.kind]
     unknown = sorted(set(opts) - set(known))
@@ -226,24 +232,31 @@ def _check_options(scenario: Scenario, task: TaskSpec) -> None:
     if task.kind == "chain_sim" and scenario.sim is None:
         raise ValueError("scenario has no 'sim' section")
     if task.kind in DEFAULT_INSTANCES:
-        _verify_options(task)
-    elif task.kind == "dominance":
-        _check_enumeration_limit(scenario.params.n)
-    elif task.kind == "cascade":
+        return _verify_options(task)
+    if task.kind == "chain_sim":
+        return _chain_sim_options(opts)
+    if task.kind == "sweep":
+        return _sweep_options(opts)
+    if task.kind == "cascade":
         order = opts.get("order")
         if not isinstance(order, list):
             raise ValueError("'order' must be an array of node indices")
-        _validate_order([parse_int(node, "'order'") for node in order], scenario.params.n)
-    elif task.kind == "contract_trace":
+        return (_validate_order([parse_int(node, "'order'") for node in order], scenario.params.n),)
+    if task.kind == "contract_trace":
         events = opts.get("events")
         if not isinstance(events, str):
             raise ValueError("'events' must be a path string")
-        if not (scenario.base_dir / events).exists():
-            raise ValueError(f"events file not found: {events}")
-    elif task.kind == "chain_sim":
-        _chain_sim_options(opts)
-    elif task.kind == "sweep":
-        _sweep_options(opts)
+        try:
+            with open(scenario.base_dir / events, "r", encoding="utf-8") as fh:
+                replay = replay_events(fh)
+            return events, replay, replay.summary()
+        except FileNotFoundError:
+            raise ValueError(f"events file not found: {events}") from None
+        except (OSError, ValueError, ContractError) as exc:
+            raise ValueError(f"{events}: {exc}") from None
+    if task.kind == "dominance":
+        _check_enumeration_limit(scenario.params.n)
+    return ()  # dominance and deposit_bound run on the scenario's params alone
 
 
 def _verify_options(task: TaskSpec) -> tuple[int, tuple[int, int], str | None]:
@@ -397,7 +410,6 @@ def table_csv(task: TaskResult) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -412,12 +424,22 @@ def run_scenario(
     `seed` overrides the scenario seed, and `output_dir` (relative to the
     current directory) the scenario's own `output_dir` (relative to the
     scenario file). Task failures are results (reflected in the report and
-    the exit code), not exceptions; only I/O and malformed inputs raise.
+    the exit code), not exceptions. Inputs were parsed by `with_tasks`; what
+    still raises, before the first task, is a traced `chain_sim` task with
+    no output directory, and after that only I/O.
     """
     seed = scenario.seed if seed is None else seed
     out = Path(output_dir) if output_dir is not None else (
         scenario.base_dir / scenario.output_dir if scenario.output_dir else None
     )
+    for index, task in enumerate(scenario.tasks):
+        if out is None and task.kind == "chain_sim" and task.args[1]:  # (runs, trace)
+            raise ScenarioError(
+                f"tasks[{index}] (chain_sim): 'trace' needs an output directory: the trace is "
+                "written only as chain_trace_<i>.csv under --out (or the scenario's output_dir)"
+            )
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     report = RunReport(scenario_name=scenario.name, seed=seed, tool_version=__version__)
     started = time.perf_counter()
     for index, task in enumerate(scenario.tasks):
@@ -436,13 +458,12 @@ def run_scenario(
 def _run_task(
     scenario: Scenario, task: TaskSpec, index: int, seed: int, out: Path | None
 ) -> TaskResult:
-    task_seed = derive_seed(seed, "task", index)
-    opts = task.options
-    params = scenario.params  # not None for the tasks that read it (_check_options)
+    params = scenario.params  # not None for the tasks that read it (_parse_task)
 
-    if task.kind in ("verify_t1", "verify_t3", "verify_t4"):
+    if task.kind in DEFAULT_INSTANCES:
         theorem = task.kind.removeprefix("verify_").upper()
-        instances, n_range, mutation = _verify_options(task)
+        instances, n_range, mutation = task.args
+        task_seed = derive_seed(seed, "task", index)
         verification = verify_theorem(theorem, task_seed, instances, n_range, mutation=mutation)
         return TaskResult(task.kind, index, verification.all_passed, verification.to_payload())
 
@@ -451,7 +472,7 @@ def _run_task(
         return TaskResult(task.kind, index, dominance.weakly_dominates, dominance.to_payload())
 
     if task.kind == "cascade":
-        trace = find_deviation_cascade(params, tuple(opts["order"]))
+        trace = find_deviation_cascade(params, *task.args)
         return TaskResult(task.kind, index, trace.all_monotone, trace.to_payload())
 
     if task.kind == "deposit_bound":
@@ -466,15 +487,9 @@ def _run_task(
         return TaskResult(task.kind, index, _check_t2(params) is None, payload)
 
     if task.kind == "contract_trace":
-        events_path = scenario.base_dir / opts["events"]
-        try:
-            with open(events_path, "r", encoding="utf-8") as fh:
-                replay = replay_events(fh)
-            summary = replay.summary()
-        except (ValueError, ContractError) as exc:
-            raise ScenarioError(f"tasks[{index}] (contract_trace): {opts['events']}: {exc}") from None
+        events, replay, summary = task.args
         payload = {
-            "events": opts["events"],
+            "events": events,
             "final_phase": replay.final_state.phase.value,
             "final_order": replay.final_state.order.value,
             "settlement": summary.to_payload(),
@@ -482,42 +497,43 @@ def _run_task(
         return TaskResult(task.kind, index, summary.conservation_holds(), payload)
 
     if task.kind == "chain_sim":
-        runs, trace = _chain_sim_options(opts)
-        # stream 0 of the sim-run seed space; sweep cell c uses stream c, so a
-        # single-cell sweep reproduces a direct chain_sim task exactly
-        cfg_index = 0
-        successes = 0
-        first_payload = None
-        artifacts: list[str] = []
-        for run_index in range(runs):
-            config = scenario.sim_config(derive_seed(seed, "sim-run", cfg_index, run_index))
-            detail = run_attack_detailed(config, record_trace=trace and run_index == 0)
-            if detail.result.success:
-                successes += 1
-            if run_index == 0:
-                first_payload = detail.result.to_payload()
-                if trace and out is not None:
-                    buffer = io.StringIO()
-                    trace_to_csv(detail.trace, buffer)
-                    name = f"chain_trace_{index}.csv"
-                    _write(out / name, buffer.getvalue())
-                    artifacts.append(name)
-        payload = {
-            "runs": runs,
-            "successes": successes,
-            "success_rate": format_rational(Fraction(successes, runs)),
-            "success_rate_decimal": f"{successes / runs:.6f}",
-            "first_run": first_payload,
-        }
-        return TaskResult(task.kind, index, None, payload, tuple(artifacts))
+        runs, trace = task.args
+        first, payload = _seeded_runs(scenario.sim, seed, 0, runs, trace)
+        payload["first_run"] = first.result.to_payload()
+        if not trace:
+            return TaskResult(task.kind, index, None, payload)
+        buffer = io.StringIO()
+        trace_to_csv(first.trace, buffer)
+        name = f"chain_trace_{index}.csv"
+        _write(out / name, buffer.getvalue())  # run_scenario checked that `out` is set
+        return TaskResult(task.kind, index, None, payload, (name,))
 
-    if task.kind == "sweep":
-        return _run_sweep(scenario, task, index, seed)
-
-    raise ScenarioError(f"unknown task kind {task.kind!r}")
+    return _run_sweep(task, index, seed)
 
 
-def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int) -> TaskResult:
+def _seeded_runs(config: SimConfig, seed: int, stream: int, runs: int, trace: bool = False):
+    """The first of `runs` runs of `config` (traced if `trace`), and the runs'
+    `runs`, `successes`, `success_rate` and `success_rate_decimal` fields.
+
+    Runs draw from stream `stream` of the sim-run seed space: a chain_sim task
+    is stream 0 and sweep cell c stream c, so a one-cell sweep reproduces it.
+    """
+    successes = 0
+    for run_index in range(runs):
+        run_seed = derive_seed(seed, "sim-run", stream, run_index)
+        detail = run_attack_detailed(replace(config, rng_seed=run_seed), trace and run_index == 0)
+        if run_index == 0:
+            first = detail
+        successes += detail.result.success
+    return first, {
+        "runs": runs,
+        "successes": successes,
+        "success_rate": format_rational(Fraction(successes, runs)),
+        "success_rate_decimal": f"{successes / runs:.6f}",
+    }
+
+
+def _run_sweep(task: TaskSpec, index: int, seed: int) -> TaskResult:
     """Parameter sweep over bribe pool, minion share, confirmations, threshold.
 
     Each cell synthesizes a 4-node network (two minions and two honest
@@ -527,7 +543,7 @@ def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int) -> Tas
     and derives the bribed reward vector and deposit bound. Cells whose
     derived parameters violate an assumption are recorded as rejected rows.
     """
-    cells, runs_per_cell, horizon, consensus = _sweep_options(task.options)
+    cells, runs_per_cell, horizon, consensus = task.args
     rows: list[dict] = []
     for cell_index, (d_m, share, conf, t) in enumerate(cells):
         row: dict = {
@@ -537,9 +553,9 @@ def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int) -> Tas
             "confirmations": conf,
             "t": format_rational(t),
         }
+        rows.append(row)
         if not 0 < share < 1:
             row.update(valid=False, violation=f"minion share {format_rational(share)} not in (0, 1)")
-            rows.append(row)
             continue
         powers = PowerDistribution((share / 2, share / 2, (1 - share) / 2, (1 - share) / 2))
         candidate = GameParams(
@@ -553,7 +569,6 @@ def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int) -> Tas
         violations = validate_params(candidate)
         if violations:
             row.update(valid=False, violation="; ".join(str(v) for v in violations))
-            rows.append(row)
             continue
         config = SimConfig(
             powers=powers,
@@ -564,23 +579,15 @@ def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int) -> Tas
             rng_seed=0,  # replaced per run
             threshold_t=t,
         )
-        successes = 0
-        for run_index in range(runs_per_cell):
-            run_seed = derive_seed(seed, "sim-run", cell_index, run_index)
-            if run_attack(replace(config, rng_seed=run_seed)).success:
-                successes += 1
+        _, counts = _seeded_runs(config, seed, cell_index, runs_per_cell)
         row.update(
             valid=True,
             violation="",
-            runs=runs_per_cell,
-            successes=successes,
-            success_rate=format_rational(Fraction(successes, runs_per_cell)),
-            success_rate_decimal=f"{successes / runs_per_cell:.6f}",
+            **counts,
             r_m_min=format_rational(min(candidate.reward_malicious)),
             r_m_max=format_rational(max(candidate.reward_malicious)),
             deposit_bound=format_rational(deposit_bound(candidate)),
         )
-        rows.append(row)
 
     payload = {"cells": len(cells), "runs_per_cell": runs_per_cell, "rows": rows}
     return TaskResult("sweep", index, None, payload)

@@ -309,6 +309,9 @@ class TestEventLogReplay:
             (5, '{"event": "oracle_report", "attack_successful": true,'
                 ' "executed_protocol": {"0x": "malicious", "1": "malicious"}}', "executed_protocol"),
             (6, '{"event": "distribute", "node": 0.0}', "node"),
+            (2, '{"event": "commit", "node": 0', "invalid JSON"),
+            (2, '{"event": "init", "expiration_time": 100, "magnate_deposit": "9",'
+                ' "threshold_t": "1/2", "powers": ["2/5", "7/20", "1/4"]}', "duplicate init"),
         ],
     )
     def test_malformed_field_exits_2_naming_line_and_field(
@@ -322,6 +325,23 @@ class TestEventLogReplay:
         assert main(["contract-trace", str(events)]) == 2
         err = capsys.readouterr().err
         assert f"event log line {line_no}: " in err and field in err
+
+    def test_blank_lines_skipped(self):
+        fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
+        lines = fixture.read_text(encoding="utf-8").splitlines()
+        padded = ["", *lines[:3], "   ", *lines[3:], ""]
+        assert replay_events(padded) == replay_events(lines)
+        padded[4] = '{"event": "commit", "node": 0, "deposit": "9"}'  # node 0 commits again
+        with pytest.raises(ContractError, match="^event log line 5: "):
+            replay_events(padded)
+
+    def test_log_without_init_exits_2(self, tmp_path, capsys):
+        events = tmp_path / "blank.jsonl"
+        events.write_text("\n  \n", encoding="utf-8")
+        assert main(["contract-trace", str(events)]) == 2
+        err = capsys.readouterr().err
+        assert "error: tasks[0] (contract_trace): blank.jsonl: event log contains no init event" in err
+        assert "Traceback" not in err
 
     def test_forbidden_transition_names_line(self, tmp_path, capsys):
         fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"

@@ -1,15 +1,19 @@
 """Fuzz the scenario loader, the task runner and the event-log replay.
 
 Each example changes one field of the P3 scenario (its tasks swapped for
-cheap ones) or one line of the P3 contract event log and runs the CLI on
-it. Whatever the input, the exit code is 0, 1 or 2, no exception escapes,
-and the exit code is 1 exactly when some task reports `passed: false`.
+cheap ones) or one line of the P3 contract event log and runs `verify` on
+it with a fresh output directory. Whatever the input, the exit code is 0,
+1 or 2, no exception escapes, and the exit code is 1 exactly when some task
+reports `passed: false`. Exit 2 leaves the output directory absent or
+empty: inputs are parsed, and the event log replayed, before any task runs.
 """
 
 import contextlib
 import copy
 import io
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -23,6 +27,7 @@ EVENT_LINES = [
     for line in (SCENARIOS / "p3_contract_events.jsonl").read_text(encoding="utf-8").splitlines()
 ]
 
+# the cascade task writes an artifact before the contract_trace task runs
 CHEAP_TASKS = [
     {"kind": "verify_t1", "instances": 3, "mutation": None},
     {"kind": "verify_t3", "instances": 3},
@@ -87,11 +92,24 @@ def run_cli(argv) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
-def assert_exit_contract(code: int, stdout: str) -> None:
+def assert_exit_contract(code: int, stdout: str, out: Path) -> None:
     assert code in (0, 1, 2)
-    if code != 2:
+    if code == 2:
+        assert not out.exists() or not any(out.iterdir())
+    else:
         failed = any(task["passed"] is False for task in json.loads(stdout)["tasks"])
         assert (code == 1) == failed
+
+
+def verify_keeps_exit_contract(directory: Path, scenario: dict) -> None:
+    path = directory / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    out = Path(tempfile.mkdtemp(dir=directory)) / "out"
+    try:
+        code, stdout = run_cli(["verify", str(path), "--out", str(out), "--format", "json"])
+        assert_exit_contract(code, stdout, out)
+    finally:
+        shutil.rmtree(out.parent)
 
 
 def write_events(directory: Path, events) -> None:
@@ -110,9 +128,7 @@ def workdir(tmp_path_factory):
 @example(path=("tasks", 0, "mutation"), value="deviant_reward_above_honest")  # exit 1
 def test_mutated_scenario_keeps_exit_contract(workdir, path, value):
     write_events(workdir, EVENT_LINES)
-    scenario = workdir / "scenario.json"
-    scenario.write_text(json.dumps(mutated(SCENARIO, path, value)), encoding="utf-8")
-    assert_exit_contract(*run_cli(["verify", str(scenario), "--format", "json"]))
+    verify_keeps_exit_contract(workdir, mutated(SCENARIO, path, value))
 
 
 @settings(max_examples=150)
@@ -122,5 +138,4 @@ def test_mutated_event_line_keeps_exit_contract(workdir, data, index):
     events = list(EVENT_LINES)
     events[index] = mutated(EVENT_LINES[index], path, data.draw(VALUES))
     write_events(workdir, events)
-    code, stdout = run_cli(["contract-trace", str(workdir / "events.jsonl"), "--format", "json"])
-    assert_exit_contract(code, stdout)
+    verify_keeps_exit_contract(workdir, SCENARIO)

@@ -5,11 +5,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import briberysim.scenario as scenario_module
 from briberysim import ScenarioError, load_scenario, run_scenario
 from briberysim.cli import main
 from briberysim.scenario import TABLE_ARTIFACT_KINDS, TASK_KINDS, TASK_OPTIONS, report_json
@@ -43,6 +45,17 @@ P3_SIM = {
     "confirmations": 3,
     "horizon_slots": 2000,
 }
+
+
+def count_calls(monkeypatch, name: str, calls: list, tag=None) -> None:
+    """Record `(tag(), name)` in `calls` on each call of `briberysim.scenario.<name>`."""
+    original = getattr(scenario_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append((tag() if tag else None, name))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_module, name, counted)
 
 
 def write_scenario(path: Path, **overrides) -> Path:
@@ -127,6 +140,30 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="schema_version"):
             load_scenario(file)
 
+    def test_invalid_json_exits_2_naming_the_line(self, tmp_path, capsys):
+        file = tmp_path / "broken.json"
+        file.write_text('{\n  "schema_version": 1,\n  "name": \n}\n', encoding="utf-8")
+        assert main(["verify", str(file)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: scenario {file}: invalid JSON at line 4: " in err
+        assert "Traceback" not in err
+
+    def test_options_parsed_once_at_load(self, monkeypatch):
+        # every option parse and the event-log replay run once per task, while
+        # the scenario loads; the runner only reads what they returned
+        calls, phase = [], ["load"]
+        for name in ("_verify_options", "_chain_sim_options", "_sweep_options", "replay_events"):
+            count_calls(monkeypatch, name, calls, tag=lambda: phase[0])
+        scenario = load_scenario(REPO_SCENARIOS / "p3.json")
+        phase[0] = "run"
+        assert run_scenario(scenario).all_passed
+        assert Counter(calls) == {
+            ("load", "_verify_options"): 3,
+            ("load", "_chain_sim_options"): 1,
+            ("load", "_sweep_options"): 1,
+            ("load", "replay_events"): 1,
+        }
+
     def test_decimal_numbers_parse_exactly(self, tmp_path):
         file = write_scenario(tmp_path, params=dict(P3_PARAMS, t=0.55))
         scenario = load_scenario(file)
@@ -202,6 +239,51 @@ class TestRunScenario:
         assert not (tmp_path / "cwd" / "o").exists()
         assert main(["verify", "../sc/s.json", "--out", "x"]) == 0
         assert (tmp_path / "cwd" / "x" / "report.json").is_file()
+
+    def test_out_naming_a_file_exits_2_before_any_task(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        count_calls(monkeypatch, "verify_theorem", calls)
+        file = write_scenario(tmp_path, tasks=[{"kind": "verify_t1", "instances": 5}])
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        assert main(["verify", str(file), "--out", str(tmp_path / "taken")]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "taken" in err and "Traceback" not in err
+        assert calls == []
+
+    def test_scenario_trace_task_needs_an_output_directory(self, tmp_path, capsys, monkeypatch):
+        file = write_scenario(
+            tmp_path, tasks=[{"kind": "deposit_bound"}, {"kind": "chain_sim", "trace": True}]
+        )
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert main(["verify", str(file)]) == 2
+        captured = capsys.readouterr()
+        assert "error: tasks[1] (chain_sim): 'trace' needs an output directory" in captured.err
+        assert "chain_trace_<i>.csv" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and list((tmp_path / "cwd").iterdir()) == []
+        assert main(["verify", str(file), "--out", "o"]) == 0
+        assert (tmp_path / "cwd" / "o" / "chain_trace_1.csv").is_file()
+
+    def test_contract_trace_csv_lists_burned_deposits(self, tmp_path):
+        lines = (REPO_SCENARIOS / "p3_contract_events.jsonl").read_text().splitlines()
+        # node 1 executes honest against the malicious order: its deposit burns
+        lines[4] = json.dumps(
+            {
+                "event": "oracle_report",
+                "attack_successful": True,
+                "executed_protocol": {"0": "malicious", "1": "honest"},
+            }
+        )
+        (tmp_path / "burn.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        file = write_scenario(tmp_path, tasks=[{"kind": "contract_trace", "events": "burn.jsonl"}])
+        report = run_scenario(load_scenario(file), output_dir=tmp_path / "out")
+        assert report.all_passed
+        assert (tmp_path / "out" / "contract_trace_0.csv").read_text().splitlines() == [
+            "node,kind,amount",
+            "0,payout,63/5",
+            "1,burned,9",
+            "magnate,residual,27/5",
+        ]
 
     def test_wall_time_not_serialized(self, tmp_path):
         file = write_scenario(tmp_path, tasks=[])
@@ -390,7 +472,8 @@ class TestCli:
         monkeypatch.chdir(tmp_path / "cwd")
         assert main(["chain-sim", str(file), "--trace"]) == 2
         err = capsys.readouterr().err
-        assert "error: --trace needs an output directory" in err and "chain_trace_<i>.csv" in err
+        assert "error: tasks[0] (chain_sim): 'trace' needs an output directory" in err
+        assert "chain_trace_<i>.csv" in err
         assert "Traceback" not in err
         assert list((tmp_path / "cwd").iterdir()) == []
         # the scenario's own output_dir is one
@@ -479,6 +562,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: tasks[0] ({kind}): " in err and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cascade", "{scenario}"], "error: scenario has no cascade task; pass --order"),
+            (["cascade", "{scenario}", "--order", "1,x"],
+             "error: --order must be comma-separated integers, got '1,x'"),
+        ],
+        ids=["cascade-no-task-no-order", "cascade-order-not-integers"],
+    )
+    def test_cascade_order_flag_errors_exit_2(self, tmp_path, capsys, argv, message):
+        file = write_scenario(tmp_path, tasks=[{"kind": "deposit_bound"}])
+        assert main([arg.format(scenario=file) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_missing_scenario_file_exits_2(self, capsys):
         assert main(["verify", "does-not-exist.json"]) == 2
