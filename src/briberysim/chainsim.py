@@ -28,17 +28,16 @@ Two consensus flavors:
   minion is counted as a double-sign and spawns a slashing proof; honest
   producers include all pending proofs in their blocks, minions never do.
   The fork wins only if minion power exceeds the endorsement threshold t
-  and the fork outgrows the honest chain. No separate endorsement window is
-  needed: the honest chain is k blocks high when the fork starts and only
-  grows, so a strictly longer fork holds at least k + 1 blocks, endorsed over
-  at least k + 1 post-confirmation slots. When the fork wins, the honest
-  blocks carrying the proofs are reverted with the rest, so no proof
-  survives on the final chain.
+  (`PowerDistribution.exceeds`) and the fork outgrows the honest chain. No
+  separate endorsement window is needed: the honest chain is k blocks high
+  when the fork starts and only grows, so a strictly longer fork holds at
+  least k + 1 blocks, endorsed over at least k + 1 post-confirmation slots.
+  When the fork wins, the honest blocks carrying the proofs are reverted with
+  the rest, so no proof survives on the final chain.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -48,7 +47,7 @@ from itertools import accumulate
 from typing import Iterable
 
 from .games import NodeId, PowerDistribution
-from .rational import as_fraction, parse_int, parse_rational, parse_rational_list
+from .rational import as_fraction, format_rational, parse_int, parse_rational, parse_rational_list
 
 
 class Consensus(Enum):
@@ -157,16 +156,14 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
     # rounding only biases draws by ~1e-16. draw() lies in [0, 1) and the last
     # boundary is exactly 1.0, so bisect_right(boundaries, draw()) is always
     # a node index < n
-    scale = math.lcm(*(p.denominator for p in config.powers))
-    weights = (p.numerator * (scale // p.denominator) for p in config.powers)
-    boundaries = [acc / scale for acc in accumulate(weights)]
+    boundaries = [acc / config.powers.scale for acc in accumulate(config.powers.weights)]
     boundaries[-1] = 1.0
     is_minion = [i in config.minions for i in range(n)]
 
     k = config.confirmations
     horizon = config.horizon_slots
     pos = config.consensus is Consensus.POS_SLASHING
-    can_win = not pos or config.powers.power_of(config.minions) > config.threshold_t
+    can_win = not pos or config.powers.exceeds(config.minions, config.threshold_t)
     # slots 0 to k-1, or fewer if the horizon ends first
     early = [bisect_right(boundaries, draw()) for _ in range(min(k, horizon))]
     honest_blocks = [early.count(i) for i in range(n)]  # on the honest chain from genesis
@@ -250,6 +247,9 @@ def sim_config_from_payload(doc: dict, context: str = "sim") -> SimConfig:
     minions = doc["minions"]
     if not isinstance(minions, list):
         raise ValueError(f"{context}.minions: expected an array of node indices, got {minions!r}")
+    threshold_t = parse_rational(doc.get("threshold_t", "1/2"), f"{context}.threshold_t")
+    if not 0 < threshold_t < 1:
+        raise ValueError(f"{context}.threshold_t: {format_rational(threshold_t)} not in (0, 1)")
     return SimConfig(
         powers=PowerDistribution(parse_rational_list(doc["powers"], f"{context}.powers")),
         minions=frozenset(parse_int(i, f"{context}.minions[{j}]") for j, i in enumerate(minions)),
@@ -257,7 +257,7 @@ def sim_config_from_payload(doc: dict, context: str = "sim") -> SimConfig:
         confirmations=parse_int(doc["confirmations"], f"{context}.confirmations"),
         horizon_slots=parse_int(doc["horizon_slots"], f"{context}.horizon_slots"),
         rng_seed=parse_int(doc.get("rng_seed", 0), f"{context}.rng_seed"),
-        threshold_t=parse_rational(doc.get("threshold_t", "1/2"), f"{context}.threshold_t"),
+        threshold_t=threshold_t,
     )
 
 

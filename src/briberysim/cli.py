@@ -98,7 +98,7 @@ def _emit(report: RunReport, args) -> int:
 
 
 def _run_tasks(scenario: Scenario, tasks: tuple[TaskSpec, ...], args) -> int:
-    """Run `tasks` on `scenario`, parsed as a scenario load parses its own, and print."""
+    """Run `tasks` on `scenario`, parsing those not parsed at load, and print."""
     report = run_scenario(with_tasks(scenario, tasks), output_dir=args.out, seed=args.seed)
     return _emit(report, args)
 
@@ -144,7 +144,7 @@ def cmd_chain_sim(args) -> int:
     overrides = {} if args.runs is None else {"runs": args.runs}
     if args.trace:
         overrides["trace"] = True
-    tasks = tuple(TaskSpec("chain_sim", {**t.options, **overrides}) for t in tasks)
+    tasks = tuple(TaskSpec(t.kind, {**t.options, **overrides}) if overrides else t for t in tasks)
     return _run_tasks(scenario, tasks, args)
 
 

@@ -7,8 +7,8 @@ execute the malicious protocol. Lifecycle:
 * init: contract opens with the magnate's deposit, an expiration time, and
   the order set to the honest protocol;
 * commit: a node joins with its own deposit while the contract is open and
-  unexpired; the moment committed power strictly exceeds the threshold the
-  order flips, irreversibly, to the malicious protocol;
+  unexpired; once committed power strictly exceeds t (the game's test,
+  `PowerDistribution.exceeds`) the order flips, irreversibly, to malicious;
 * distribute: each minion settles exactly once against an oracle report of
   the attack outcome and of what each minion actually executed -
   share payout on success, plain refund after expiration when the attack
@@ -140,7 +140,7 @@ def contract_commit(state: ContractState, node: NodeId, deposit: Fraction) -> Co
     minions = dict(state.minions)
     minions[node] = deposit
     new_state = replace(state, minions=minions)
-    if state.config.powers.power_of(minions) > state.config.threshold_t:
+    if state.config.powers.exceeds(minions, state.config.threshold_t):
         new_state = replace(new_state, phase=Phase.ATTACK_ORDERED, order=Protocol.MALICIOUS)
     return new_state
 
@@ -230,11 +230,9 @@ def settlement_summary(state: ContractState) -> SettlementSummary:
     settled = sorted(state.settlements.items())
     payouts = {i: paid for i, (outcome, paid) in settled if outcome is not SettlementOutcome.BURNED}
     burned = {i: state.minions[i] for i, (outcome, _) in settled if outcome is SettlementOutcome.BURNED}
-    rewarded_power = sum(
-        (state.config.powers[i] for i, (outcome, _) in settled if outcome is SettlementOutcome.PAID),
-        Fraction(0),
-    )
-    residual = state.config.magnate_deposit * (1 - rewarded_power)
+    powers = state.config.powers
+    paid = sum(powers.weights[i] for i, (outcome, _) in settled if outcome is SettlementOutcome.PAID)
+    residual = state.config.magnate_deposit * Fraction(powers.scale - paid, powers.scale)
     return SettlementSummary(
         payouts=payouts,
         burned_deposits=burned,

@@ -31,8 +31,8 @@ messages and scenario errors:
 
 All comparisons against t are strict and exact: power sums landing exactly
 on t count as "not enough". Quantities are Fractions at the API and in JSON;
-internally the payoff rule compares integer weights (powers and t scaled by
-their common denominator), which decide every threshold test identically.
+the one threshold test, `PowerDistribution.exceeds` on integer weights, is
+also the payoff rule's test on `GameParams.weights`.
 """
 
 from __future__ import annotations
@@ -95,9 +95,16 @@ class PowerDistribution:
     """
 
     powers: tuple[Fraction, ...]
+    # the powers as integers over their common denominator `scale`
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", as_fractions(self.powers))
+        powers = as_fractions(self.powers)
+        scale = math.lcm(*(p.denominator for p in powers))
+        object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "weights", tuple(p.numerator * (scale // p.denominator) for p in powers))
 
     def __len__(self) -> int:
         return len(self.powers)
@@ -113,17 +120,14 @@ class PowerDistribution:
         return len(self.powers)
 
     def total(self) -> Fraction:
-        # summed as integers over the common denominator, one Fraction at the end
-        scale = math.lcm(*(p.denominator for p in self.powers))
-        return Fraction(sum(p.numerator * (scale // p.denominator) for p in self.powers), scale)
+        return Fraction(sum(self.weights), self.scale)
 
     def is_normalized(self) -> bool:
-        # a Fraction's denominator is positive, so its numerator carries the sign
-        return all(p.numerator > 0 for p in self.powers) and self.total() == 1
+        return all(w > 0 for w in self.weights) and sum(self.weights) == self.scale
 
-    def power_of(self, nodes: Iterable[NodeId]) -> Fraction:
-        """Joint power of `nodes`, e.g. the minions of a sim or a contract."""
-        return sum((self.powers[i] for i in nodes), Fraction(0))
+    def exceeds(self, nodes: Iterable[NodeId], t: Fraction) -> bool:
+        """The threshold rule: the joint power of `nodes` is strictly above `t`."""
+        return sum(self.weights[i] for i in nodes) * t.denominator > t.numerator * self.scale
 
 
 @dataclass(frozen=True)
@@ -141,18 +145,15 @@ class GameParams:
     reward_deviant_vs_honest: tuple[Fraction, ...]
     reward_malicious: tuple[Fraction, ...]
     reward_deviant_vs_malicious: tuple[Fraction, ...]
-    # powers and t as integers over their common denominator
+    # powers and t as integers over t.denominator * powers.scale: `w > t_weight` is `exceeds`
     weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
     t_weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = as_fraction(self.threshold_t)
         object.__setattr__(self, "threshold_t", t)
-        scale = math.lcm(t.denominator, *(p.denominator for p in self.powers))
-        object.__setattr__(
-            self, "weights", tuple(p.numerator * (scale // p.denominator) for p in self.powers)
-        )
-        object.__setattr__(self, "t_weight", t.numerator * (scale // t.denominator))
+        object.__setattr__(self, "weights", tuple(w * t.denominator for w in self.powers.weights))
+        object.__setattr__(self, "t_weight", t.numerator * self.powers.scale)
         for name in (
             "reward_honest",
             "reward_deviant_vs_honest",

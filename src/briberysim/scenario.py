@@ -204,7 +204,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def with_tasks(scenario: Scenario, tasks: tuple[TaskSpec, ...]) -> Scenario:
-    """`scenario` running `tasks` in place of its own, each parsed into its `args`.
+    """`scenario` running `tasks` in place of its own; each with no `args` yet is parsed.
 
     This is the only reader of task options, for the tasks of a scenario
     file and those a CLI subcommand builds alike. A `contract_trace` task's
@@ -214,9 +214,10 @@ def with_tasks(scenario: Scenario, tasks: tuple[TaskSpec, ...]) -> Scenario:
     parsed = []
     for index, task in enumerate(tasks):
         try:
-            parsed.append(replace(task, args=_parse_task(scenario, task)))
+            args = _parse_task(scenario, task) if task.args is None else task.args
         except ValueError as exc:
             raise ScenarioError(f"tasks[{index}] ({task.kind}): {exc}") from None
+        parsed.append(replace(task, args=args))
     return replace(scenario, tasks=tuple(parsed))
 
 

@@ -371,6 +371,10 @@ class TestSimConfigValidation:
             ("horizon_slots", "abc"),
             ("horizon_slots", Fraction(5)),
             ("rng_seed", "7"),
+            ("threshold_t", "-1"),
+            ("threshold_t", "0"),
+            ("threshold_t", "1"),
+            ("threshold_t", "3/2"),
         ],
     )
     def test_integer_fields_named_on_bad_values(self, field, value):

@@ -1,6 +1,7 @@
 """Tests for the bribery contract state machine and its event log."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,15 +11,20 @@ from hypothesis import given, settings, strategies as st
 from briberysim import (
     ContractConfig,
     ContractError,
+    GameParams,
     OracleReport,
     Phase,
     PowerDistribution,
     Protocol,
     SettlementOutcome,
+    Strategy,
+    StrategyProfile,
+    Variant,
     advance_clock,
     contract_commit,
     contract_distribute,
     contract_init,
+    payoff_vector,
     replay_events,
     settlement_summary,
 )
@@ -56,6 +62,12 @@ class TestInit:
     def test_unnormalized_powers_rejected(self):
         config = ContractConfig(100, Fraction(9), Fraction(1, 2), PowerDistribution(("1/2", "1/4")))
         with pytest.raises(ContractError, match="powers"):
+            contract_init(config)
+
+    @pytest.mark.parametrize("t", ["-1", "0", "1", "3/2"])
+    def test_threshold_outside_unit_interval_rejected(self, t):
+        config = replace(p3_config(), threshold_t=Fraction(t))
+        with pytest.raises(ContractError, match=rf"^invalid config: threshold {t} not in \(0, 1\)$"):
             contract_init(config)
 
 
@@ -250,6 +262,51 @@ class TestRandomizedProperties:
     def test_conservation_property(self, seed):
         session = random_contract_session(random.Random(seed))
         assert settlement_summary(session.final_state).conservation_holds()
+
+
+def agreement_instances():
+    """(powers, thresholds) pairs: p3 at t = 3/4, where {0, 1} holds exactly t,
+    then random integer-weight networks of 2-6 nodes at t = 1/2, 2/3, 3/4 and
+    at the exact power of one of their subsets."""
+    yield P3_POWERS, [Fraction(3, 4)]
+    rng = random.Random(310)
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        weights = [rng.randint(1, 12) for _ in range(n)]
+        total = sum(weights)
+        subset = rng.sample(range(n), rng.randint(1, n - 1))
+        exact = Fraction(sum(weights[i] for i in subset), total)
+        powers = PowerDistribution(tuple(Fraction(w, total) for w in weights))
+        yield powers, [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), exact]
+
+
+class TestContractRealisesTheGame:
+    def test_game_contract_and_exceeds_agree_on_every_commit_set(self):
+        # for every commit set S: the collusion game executes the malicious
+        # protocol (some payoff is not r_h, as r_m != r_h and r_dp != r_h),
+        # the contract orders it when S commits in ascending order, and
+        # powers.exceeds(S, t) all say the same
+        at_threshold = 0
+        for powers, thresholds in agreement_instances():
+            n = powers.n
+            for t in thresholds:
+                params = GameParams(powers, t, (2,) * n, (1,) * n, (5,) * n, (-3,) * n)
+                for mask in range(1 << n):
+                    committed = [i for i in range(n) if mask >> i & 1]
+                    choices = tuple(
+                        Strategy.COMMIT if mask >> i & 1 else Strategy.HONEST for i in range(n)
+                    )
+                    profile = StrategyProfile(choices, Variant.COLLUSION)
+                    game = payoff_vector(params, profile) != params.reward_honest
+                    state = contract_init(ContractConfig(100, Fraction(9), t, powers))
+                    for node in committed:
+                        state = contract_commit(state, node, Fraction(1))
+                        if state.phase is Phase.ATTACK_ORDERED:
+                            break
+                    contract = state.phase is Phase.ATTACK_ORDERED
+                    assert game == contract == powers.exceeds(committed, t), (powers, t, committed)
+                    at_threshold += sum(powers[i] for i in committed) == t
+        assert at_threshold > 100  # the boundary, where > and >= differ, is checked
 
 
 class TestEventLogReplay:

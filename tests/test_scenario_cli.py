@@ -481,6 +481,38 @@ class TestCli:
         assert main(["chain-sim", str(file), "--trace"]) == 0
         assert (tmp_path / "o" / "chain_trace_0.csv").is_file()
 
+    @pytest.mark.parametrize("command", ["sweep", "cascade", "chain-sim"])
+    def test_subcommands_run_the_tasks_load_parsed(self, monkeypatch, capsys, command):
+        # each option parse and the event-log replay run once per task of the
+        # file, at load; a subcommand parses no task it takes from the file again
+        calls = []
+        for name in ("_verify_options", "_validate_order", "_chain_sim_options",
+                     "_sweep_options", "replay_events"):
+            count_calls(monkeypatch, name, calls)
+        assert main([command, str(REPO_SCENARIOS / "p3.json")]) == 0
+        assert Counter(name for _, name in calls) == {
+            "_verify_options": 3,
+            "_validate_order": 1,
+            "_chain_sim_options": 1,
+            "_sweep_options": 1,
+            "replay_events": 1,
+        }
+
+    @pytest.mark.parametrize("command", ["verify", "sweep", "cascade", "chain-sim"])
+    def test_file_verify_rejects_is_rejected_by_every_subcommand(self, tmp_path, capsys, command):
+        file = write_scenario(
+            tmp_path,
+            sim=dict(P3_SIM, threshold_t="3/2"),
+            tasks=[
+                {"kind": "cascade", "order": [2, 1, 0]},
+                {"kind": "chain_sim", "runs": 2},
+                {"kind": "sweep", "grid": {}, "runs_per_cell": 2, "horizon_slots": 50},
+            ],
+        )
+        assert main([command, str(file)]) == 2
+        err = capsys.readouterr().err
+        assert "sim.threshold_t: 3/2 not in (0, 1)" in err and "Traceback" not in err
+
     def test_sweep_subcommand_requires_sweep_task(self, tmp_path, capsys):
         file = write_scenario(tmp_path, tasks=[])
         assert main(["sweep", str(file)]) == 2
