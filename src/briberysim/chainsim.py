@@ -47,7 +47,7 @@ from itertools import accumulate
 from typing import Iterable
 
 from .games import NodeId, PowerDistribution
-from .rational import as_fraction, format_rational, parse_int, parse_rational, parse_rational_list
+from .rational import format_rational, parse_int, parse_rational, parse_rational_list
 
 
 class Consensus(Enum):
@@ -67,7 +67,7 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "minions", frozenset(self.minions))
-        object.__setattr__(self, "threshold_t", as_fraction(self.threshold_t))
+        object.__setattr__(self, "threshold_t", Fraction(self.threshold_t))
         if not self.powers.is_normalized():
             raise ValueError("sim config: powers must be positive and sum to exactly 1")
         if self.confirmations < 1:

@@ -129,7 +129,9 @@ def contract_commit(state: ContractState, node: NodeId, deposit: Fraction) -> Co
     if state.phase is not Phase.OPEN:
         raise ContractError(f"commit rejected: contract phase is {state.phase.value}")
     if state.clock >= state.config.expiration_time:
-        raise ContractError(f"commit rejected: clock {state.clock} is past expiration")
+        raise ContractError(
+            f"commit rejected: clock {state.clock} is not before expiration {state.config.expiration_time}"
+        )
     if not 0 <= node < state.config.powers.n:
         raise ContractError(f"commit rejected: unknown node {node}")
     if node in state.minions:
@@ -158,8 +160,11 @@ def contract_distribute(
 
     Outcomes, checked in order: burned if the node disobeyed an issued
     malicious order; paid v_i * D_m + D_i if the attack succeeded and the
-    node executed it; refunded D_i after expiration when the attack never
-    succeeded. Otherwise nothing is recorded and the outcome is PENDING.
+    node executed it; refunded D_i once the clock is past expiration
+    (clock > expiration_time) when the attack never succeeded. Otherwise
+    nothing is recorded and the outcome is PENDING. At clock ==
+    expiration_time commits are already closed but no refund is due yet, so
+    a never-successful attack's minion is still PENDING there.
     """
     if node not in state.minions:
         raise ContractError(f"distribute rejected: node {node} never committed")

@@ -12,11 +12,12 @@ randomly generated valid parameter sets:
   not strict: a lone deviator always breaks even).
 * T4: in the collusion game, all-commit is a strict Nash equilibrium.
 
-Everything here is exact: threshold tests compare integer weights, and
-rewards are Fractions or integers. The randomized verifier checks each
-instance as the integers it was drawn as (`_Draw`) and builds a
-`GameParams`, with Fraction powers and rewards, only for the instance it
-reports as failing; `random_game_params` builds one for its callers.
+Everything here is exact: threshold tests compare integer weight sums with
+the integer threshold weight `t_weight`, and rewards are Fractions or
+integers. The randomized verifier checks each instance as the integers it
+was drawn as (`_Draw`) and builds a `GameParams`, with Fraction powers and
+rewards, only for the instance it reports as failing; `random_game_params`
+builds one for its callers.
 Profile scans are exhaustive (2^n subsets), which caps enumeration at
 small n.
 """
@@ -358,10 +359,11 @@ POWER_SCALE = 20   # unnormalized power weights are drawn from 1..POWER_SCALE
 class _Draw(NamedTuple):
     """One random instance as the integers it was drawn as.
 
-    Powers are w_i/total and t is t20/20, so `weights` holds 20·w_i and
-    `t_weight` t20·total: integers over the common denominator 20·total,
-    which decide every threshold test as `GameParams.weights` would. The
-    rewards are the drawn integers. The checks read only these attributes,
+    Powers are w_i/total and t is t20/20, so `weights` holds 20·w_i over
+    the scale 20·total, where t·scale = t20·total is already an integer:
+    `t_weight` is the floor `PowerDistribution.threshold_weight` takes, and
+    these integers decide every threshold test as `GameParams.weights`
+    would. The rewards are the drawn integers. The checks read only these attributes,
     so they run on a draw as they run on a `GameParams`.
     """
 

@@ -30,9 +30,11 @@ messages and scenario errors:
 5. 1/2 <= t < 1 and no single node reaches t on its own.
 
 All comparisons against t are strict and exact: power sums landing exactly
-on t count as "not enough". Quantities are Fractions at the API and in JSON;
-the one threshold test, `PowerDistribution.exceeds` on integer weights, is
-also the payoff rule's test on `GameParams.weights`.
+on t count as "not enough". Quantities are Fractions at the API and in JSON.
+`PowerDistribution` also holds the powers as integer `weights` over one
+`scale`, and `threshold_weight(t)` is floor(t * scale): an integer weight sum
+exceeds t * scale exactly when it exceeds that integer. `exceeds` and the
+payoff rule, on `GameParams.weights` and `t_weight`, make that one test.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .rational import (
-    as_fraction,
-    as_fractions,
     format_rational,
     format_rational_list,
     parse_rational,
@@ -70,12 +70,6 @@ class Variant(Enum):
     COLLUSION = "collusion"        # strategies {HONEST, COMMIT}
 
 
-LEGAL_STRATEGIES: dict[Variant, frozenset[Strategy]] = {
-    Variant.NO_COLLUSION: frozenset({Strategy.HONEST, Strategy.MALICIOUS}),
-    Variant.COLLUSION: frozenset({Strategy.HONEST, Strategy.COMMIT}),
-}
-
-
 def opposing_strategy(variant: Variant) -> Strategy:
     """The non-honest strategy available in a variant."""
     return Strategy.MALICIOUS if variant is Variant.NO_COLLUSION else Strategy.COMMIT
@@ -89,8 +83,8 @@ class ProfileVariantMismatch(ValueError):
 class PowerDistribution:
     """Per-node voting power shares.
 
-    Construction only coerces values that are not Fractions yet; whether
-    the distribution is admissible (all positive, sums to exactly 1) is a
+    Construction only coerces the powers to Fractions; whether the
+    distribution is admissible (all positive, sums to exactly 1) is a
     validation question answered by `validate_params`.
     """
 
@@ -100,14 +94,11 @@ class PowerDistribution:
     scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        powers = as_fractions(self.powers)
+        powers = tuple(Fraction(p) for p in self.powers)
         scale = math.lcm(*(p.denominator for p in powers))
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "weights", tuple(p.numerator * (scale // p.denominator) for p in powers))
-
-    def __len__(self) -> int:
-        return len(self.powers)
 
     def __getitem__(self, index: int) -> Fraction:
         return self.powers[index]
@@ -125,9 +116,13 @@ class PowerDistribution:
     def is_normalized(self) -> bool:
         return all(w > 0 for w in self.weights) and sum(self.weights) == self.scale
 
+    def threshold_weight(self, t: Fraction) -> int:
+        """floor(t * scale): an integer weight sum exceeds t * scale iff it exceeds this."""
+        return t.numerator * self.scale // t.denominator
+
     def exceeds(self, nodes: Iterable[NodeId], t: Fraction) -> bool:
         """The threshold rule: the joint power of `nodes` is strictly above `t`."""
-        return sum(self.weights[i] for i in nodes) * t.denominator > t.numerator * self.scale
+        return sum(self.weights[i] for i in nodes) > self.threshold_weight(t)
 
 
 @dataclass(frozen=True)
@@ -145,22 +140,22 @@ class GameParams:
     reward_deviant_vs_honest: tuple[Fraction, ...]
     reward_malicious: tuple[Fraction, ...]
     reward_deviant_vs_malicious: tuple[Fraction, ...]
-    # powers and t as integers over t.denominator * powers.scale: `w > t_weight` is `exceeds`
+    # the powers' integer weights and threshold weight: `w > t_weight` is `exceeds`
     weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
     t_weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = as_fraction(self.threshold_t)
+        t = Fraction(self.threshold_t)
         object.__setattr__(self, "threshold_t", t)
-        object.__setattr__(self, "weights", tuple(w * t.denominator for w in self.powers.weights))
-        object.__setattr__(self, "t_weight", t.numerator * self.powers.scale)
+        object.__setattr__(self, "weights", self.powers.weights)
+        object.__setattr__(self, "t_weight", self.powers.threshold_weight(t))
         for name in (
             "reward_honest",
             "reward_deviant_vs_honest",
             "reward_malicious",
             "reward_deviant_vs_malicious",
         ):
-            values = as_fractions(getattr(self, name))
+            values = tuple(Fraction(v) for v in getattr(self, name))
             if len(values) != self.powers.n:
                 raise ValueError(
                     f"{name} has {len(values)} entries for {self.powers.n} nodes"
@@ -193,9 +188,9 @@ class StrategyProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "choices", tuple(self.choices))
-        legal = LEGAL_STRATEGIES[self.variant]
+        opposing = opposing_strategy(self.variant)
         for i, choice in enumerate(self.choices):
-            if choice not in legal:
+            if choice is not Strategy.HONEST and choice is not opposing:
                 raise ProfileVariantMismatch(
                     f"node {i} plays {choice.value}, illegal in {self.variant.value}"
                 )
@@ -343,12 +338,6 @@ def _payoff_rule(
     return stall, stall
 
 
-def utility(params: GameParams, profile: StrategyProfile, node: NodeId) -> Fraction:
-    """Payoff of `node` in the game named by the profile's variant."""
-    honest, opposing = _payoff_rule(params, profile.variant, *_weight_split(params, profile))
-    return honest[node] if profile.choices[node] is Strategy.HONEST else opposing[node]
-
-
 def payoff_vector(params: GameParams, profile: StrategyProfile) -> tuple[Fraction, ...]:
     """All nodes' payoffs for one profile, computing the power split once."""
     honest, opposing = _payoff_rule(params, profile.variant, *_weight_split(params, profile))
@@ -356,6 +345,11 @@ def payoff_vector(params: GameParams, profile: StrategyProfile) -> tuple[Fractio
         honest[i] if choice is Strategy.HONEST else opposing[i]
         for i, choice in enumerate(profile.choices)
     )
+
+
+def utility(params: GameParams, profile: StrategyProfile, node: NodeId) -> Fraction:
+    """Payoff of `node` in the game named by the profile's variant."""
+    return payoff_vector(params, profile)[node]
 
 
 # JSON document schema: powers/t/r_h/r_d/r_m/r_dp, rationals as strings.

@@ -48,20 +48,6 @@ def parse_bool(value: object, field: str) -> bool:
     return value
 
 
-def as_fraction(value) -> Fraction:
-    """`value` as a Fraction, built only if it is not one yet.
-
-    `type(value) is Fraction` is tested rather than `isinstance`, which goes
-    through `ABCMeta` and costs more than the check saves.
-    """
-    return value if type(value) is Fraction else Fraction(value)
-
-
-def as_fractions(values) -> tuple[Fraction, ...]:
-    """`values` as a tuple of Fractions, building only those that are not Fractions yet."""
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-
-
 def format_rational(value: Fraction) -> str:
     """Canonical string form: "3", "2/5", "-63/20"."""
     return str(Fraction(value))

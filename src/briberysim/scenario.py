@@ -59,6 +59,8 @@ from .rational import format_rational, parse_bool, parse_int, parse_rational
 from .seeding import derive_seed
 
 SCHEMA_VERSION = 1
+# the top-level keys of a scenario file; any other key is a load error
+SCENARIO_KEYS = ("schema_version", "name", "seed", "params", "sim", "tasks", "output_dir")
 
 # the options each task kind accepts; any other key is a load error
 TASK_OPTIONS = {
@@ -141,6 +143,11 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"scenario {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"scenario {path}: top level must be an object")
+    unknown = [key for key in doc if key not in SCENARIO_KEYS]
+    if unknown:
+        raise ScenarioError(
+            f"scenario {path}: unknown top-level key {unknown[0]!r}; keys: {list(SCENARIO_KEYS)}"
+        )
 
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:

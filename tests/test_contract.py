@@ -105,6 +105,12 @@ class TestCommit:
         with pytest.raises(ContractError, match="expiration"):
             contract_commit(state, 0, Fraction(9))
 
+    def test_commit_at_expiration_rejected_naming_it(self):
+        state = advance_clock(contract_init(p3_config(expiration=10)), 10)
+        message = "^commit rejected: clock 10 is not before expiration 10$"
+        with pytest.raises(ContractError, match=message):
+            contract_commit(state, 0, Fraction(9))
+
     def test_unknown_node_rejected(self):
         with pytest.raises(ContractError, match="unknown node"):
             contract_commit(contract_init(p3_config()), 7, Fraction(9))
@@ -147,6 +153,16 @@ class TestDistribute:
         state, outcome = contract_distribute(state, 0, oracle)
         assert outcome is SettlementOutcome.REFUNDED
         assert state.settlements[0][1] == 9
+
+    def test_refund_due_only_after_expiration(self):
+        # at clock == expiration_time commits are closed but no refund is due yet
+        state = contract_commit(contract_init(p3_config(expiration=10)), 0, Fraction(9))
+        oracle = OracleReport(False, {0: Protocol.HONEST})
+        at_expiration = advance_clock(state, 10)
+        pending = (at_expiration, SettlementOutcome.PENDING)
+        assert contract_distribute(at_expiration, 0, oracle) == pending
+        _, outcome = contract_distribute(advance_clock(state, 11), 0, oracle)
+        assert outcome is SettlementOutcome.REFUNDED
 
     def test_defector_burned(self):
         oracle = OracleReport(True, {0: Protocol.HONEST, 1: Protocol.MALICIOUS})
@@ -365,6 +381,8 @@ class TestEventLogReplay:
                 "'attack_successful'"),
             (5, '{"event": "oracle_report", "attack_successful": true,'
                 ' "executed_protocol": {"0x": "malicious", "1": "malicious"}}', "executed_protocol"),
+            (2, '{"event": "oracle_report", "attack_successful": true, "executed_protocol": []}',
+                "executed_protocol: expected an object of node -> protocol"),
             (6, '{"event": "distribute", "node": 0.0}', "node"),
             (2, '{"event": "commit", "node": 0', "invalid JSON"),
             (2, '{"event": "init", "expiration_time": 100, "magnate_deposit": "9",'

@@ -23,6 +23,7 @@ from briberysim import (
     utility,
     validate_params,
 )
+from briberysim.games import ProfileVariantMismatch
 from helpers import aggregate_powers, uniform_params
 
 H, M, C = Strategy.HONEST, Strategy.MALICIOUS, Strategy.COMMIT
@@ -44,6 +45,11 @@ class TestValidateParams:
         params = uniform_params(("3/5", "2/5"), "1/2", 2, -1, 5, -3)
         messages = [str(v) for v in validate_params(params)]
         assert "Assumption 5: v_0 = 3/5 >= t = 1/2" in messages
+
+    def test_single_node_exactly_at_threshold(self):
+        params = uniform_params(("1/2", "1/4", "1/4"), "1/2", 2, -1, 5, -3)
+        messages = [str(v) for v in validate_params(params)]
+        assert messages == ["Assumption 5: v_0 = 1/2 >= t = 1/2"]
 
     def test_threshold_below_half(self):
         params = uniform_params(("2/5", "7/20", "1/4"), "1/4", 2, -1, 5, -3)
@@ -105,6 +111,27 @@ class TestValidateParams:
                 reward_malicious=(Fraction(2), Fraction(2)),
                 reward_deviant_vs_malicious=(Fraction(0), Fraction(0)),
             )
+
+
+class TestStructuralErrors:
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda p3: game0(H, C, H), ProfileVariantMismatch,
+             "node 1 plays commit, illegal in no_collusion"),
+            (lambda p3: game1(H, H, M), ProfileVariantMismatch,
+             "node 2 plays malicious, illegal in collusion"),
+            (lambda p3: payoff_vector(p3, game0(H, H)), ValueError,
+             "profile has 2 choices for 3 nodes"),
+            (lambda p3: random_game_params(random.Random(0), mutation="typo"), ValueError,
+             "unknown mutation 'typo'"),
+        ],
+        ids=["commit-without-collusion", "malicious-with-collusion", "short-profile",
+             "unknown-mutation"],
+    )
+    def test_named(self, p3, build, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            build(p3)
 
 
 class TestAggregatePowers:
@@ -354,10 +381,3 @@ class TestFractionCoercion:
         assert all(type(p) is Fraction for p in config.powers)
         assert type(config.threshold_t) is Fraction
         assert config.threshold_t == Fraction(t)
-
-    def test_fractions_are_kept_not_rebuilt(self):
-        powers = (Fraction(1, 4), Fraction(3, 4))
-        t = Fraction(1, 2)
-        params = GameParams(PowerDistribution(powers), t, *((Fraction(2),) * 2,) * 4)
-        assert all(kept is given for kept, given in zip(params.powers, powers))
-        assert params.threshold_t is t

@@ -135,6 +135,21 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="'output_dir' must be a path string"):
             load_scenario(file)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"tasks": None, "task": [{"kind": "deposit_bound"}]}, "unknown top-level key 'task'"),
+            ({"output_directory": "out"}, "unknown top-level key 'output_directory'"),
+            ({"tasks": {}}, "'tasks' must be an array"),
+        ],
+        ids=["task", "output_directory", "tasks-object"],
+    )
+    def test_bad_top_level_exits_2_naming_the_key(self, tmp_path, capsys, overrides, message):
+        file = write_scenario(tmp_path, **overrides)
+        assert main(["verify", str(file)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: scenario {file}: {message}" in err and "Traceback" not in err
+
     def test_bad_schema_version(self, tmp_path):
         file = write_scenario(tmp_path, schema_version=2)
         with pytest.raises(ScenarioError, match="schema_version"):
