@@ -47,7 +47,7 @@ from itertools import accumulate
 from typing import Iterable
 
 from .games import NodeId, PowerDistribution
-from .rational import format_rational, parse_int, parse_rational, parse_rational_list
+from .rational import check_fields, format_rational, parse_int, parse_rational, parse_rational_list
 
 
 class Consensus(Enum):
@@ -104,19 +104,15 @@ class AttackResult:
         }
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    slot: int
-    producer: NodeId
-    chain: str   # "canonical" or "fork"
-    height: int
-    event: str   # "", "target", "trigger", "success"
+# a trace row is a plain tuple in this column order; chain is "canonical" or
+# "fork", event is "target", "trigger", "success" or ""
+TRACE_COLUMNS = ("slot", "producer", "chain", "height", "event")
 
 
 @dataclass(frozen=True)
 class SimRun:
     result: AttackResult
-    trace: tuple[TraceRow, ...]
+    trace: tuple[tuple[int, NodeId, str, int, str], ...]
 
 
 def catch_up_probability(minion_share: Fraction, deficit: int) -> Fraction:
@@ -139,7 +135,8 @@ def catch_up_probability(minion_share: Fraction, deficit: int) -> Fraction:
 
 
 def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun:
-    """Run one seeded attack simulation, optionally keeping the per-slot trace.
+    """Run one seeded attack simulation, optionally keeping the per-slot trace
+    (one row per slot, a plain tuple in `TRACE_COLUMNS` order).
 
     The race needs only height counters. The payment lands in slot 0 at
     height 1 and gets its k-th confirmation in slot k-1, the trigger, where
@@ -174,13 +171,11 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
     # block is in it, since honest producers include all pending proofs
     proofs_included = 0
     success = False
-    trace: list[TraceRow] = []
+    trace = []
     if record_trace:
         trace = [
-            TraceRow(
-                slot, producer, "canonical", slot + 1,
-                "target" if slot == 0 else "trigger" if slot == k - 1 else "",
-            )
+            (slot, producer, "canonical", slot + 1,
+             "target" if slot == 0 else "trigger" if slot == k - 1 else "")
             for slot, producer in enumerate(early)
         ]
 
@@ -191,9 +186,7 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
             fork_height += 1
             success = can_win and fork_height > honest_height
             if record_trace:
-                trace.append(
-                    TraceRow(slot, producer, "fork", fork_height, "success" if success else "")
-                )
+                trace.append((slot, producer, "fork", fork_height, "success" if success else ""))
             if success:
                 break
         else:
@@ -201,7 +194,7 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
             honest_height += 1
             proofs_included = fork_height
             if record_trace:
-                trace.append(TraceRow(slot, producer, "canonical", honest_height, ""))
+                trace.append((slot, producer, "canonical", honest_height, ""))
 
     double_signs: dict[NodeId, int] = {}
     censored = 0
@@ -228,15 +221,12 @@ def run_attack(config: SimConfig) -> AttackResult:
 
 
 def sim_config_from_payload(doc: dict, context: str = "sim") -> SimConfig:
-    """Parse a sim config document, naming the missing/invalid field on error.
+    """Parse a sim config document, naming the missing, invalid or unknown field on error.
 
-    Keys other than the config's fields are ignored.
+    `rng_seed` (default 0) and `threshold_t` (default 1/2) may be left out.
     """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{context}: expected an object")
-    for key in ("powers", "minions", "consensus", "confirmations", "horizon_slots"):
-        if key not in doc:
-            raise ValueError(f"{context}: missing field '{key}'")
+    required = ("powers", "minions", "consensus", "confirmations", "horizon_slots")
+    check_fields(doc, required, ("rng_seed", "threshold_t"), context)
     try:
         consensus = Consensus(doc["consensus"])
     except ValueError:
@@ -261,10 +251,9 @@ def sim_config_from_payload(doc: dict, context: str = "sim") -> SimConfig:
     )
 
 
-def trace_to_csv(rows: Iterable[TraceRow], fh) -> None:
+def trace_to_csv(rows: Iterable[tuple], fh) -> None:
     import csv
 
     writer = csv.writer(fh)
-    writer.writerow(["slot", "producer", "chain", "height", "event"])
-    for row in rows:
-        writer.writerow([row.slot, row.producer, row.chain, row.height, row.event])
+    writer.writerow(TRACE_COLUMNS)
+    writer.writerows(rows)

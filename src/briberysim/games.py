@@ -46,6 +46,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .rational import (
+    check_fields,
     format_rational,
     format_rational_list,
     parse_rational,
@@ -366,12 +367,8 @@ def params_to_json_dict(params: GameParams) -> dict:
 
 
 def params_from_json_dict(doc: dict, context: str = "params") -> GameParams:
-    """Parse a params document, naming the missing/invalid field on error."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{context}: expected an object")
-    for key in ("powers", "t", "r_h", "r_d", "r_m", "r_dp"):
-        if key not in doc:
-            raise ValueError(f"{context}: missing field '{key}'")
+    """Parse a params document, naming the missing, invalid or unknown field on error."""
+    check_fields(doc, ("powers", "t", "r_h", "r_d", "r_m", "r_dp"), (), context)
     powers = PowerDistribution(parse_rational_list(doc["powers"], f"{context}.powers"))
     return GameParams(
         powers=powers,

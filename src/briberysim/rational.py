@@ -48,6 +48,20 @@ def parse_bool(value: object, field: str) -> bool:
     return value
 
 
+def check_fields(doc: object, required: tuple, optional: tuple, context: str) -> None:
+    """Check that `doc` is an object with every `required` key and no key
+    outside `required` and `optional`, naming the first offending key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{context}: expected an object")
+    fields = required + optional
+    unknown = [key for key in doc if key not in fields]
+    if unknown:
+        raise ValueError(f"{context}: unknown field {unknown[0]!r}; fields: {list(fields)}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{context}: missing field '{key}'")
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical string form: "3", "2/5", "-63/20"."""
     return str(Fraction(value))

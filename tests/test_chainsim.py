@@ -76,8 +76,8 @@ def race_grid_digest() -> str:
     ]
     digest = hashlib.sha256()
     for index, (powers, minions, consensus, confirmations, horizon, t) in enumerate(cases):
-        # built from a payload, which ignores unknown keys, so that the same
-        # code runs on any version of SimConfig's fields
+        # built from a payload, so that the same code runs whatever
+        # SimConfig's constructor takes
         config = sim_config_from_payload(
             {
                 "powers": powers,
@@ -93,14 +93,17 @@ def race_grid_digest() -> str:
         assert run_attack(config) == run.result
         digest.update(json.dumps(run.result.to_payload(), sort_keys=True).encode())
         digest.update(
-            "".join(f"{r.slot},{r.producer},{r.chain},{r.height},{r.event};" for r in run.trace).encode()
+            "".join(
+                f"{slot},{producer},{chain},{height},{event};"
+                for slot, producer, chain, height, event in run.trace
+            ).encode()
         )
     return digest.hexdigest()
 
 
 def canonical_height(run):
     """Height of the honest chain's tip at the end of a traced run."""
-    return max(row.height for row in run.trace if row.chain == "canonical")
+    return max(height for _, _, chain, height, _ in run.trace if chain == "canonical")
 
 
 def success_rate(minions, confirmations, horizon, runs, label, **kwargs):
@@ -149,9 +152,9 @@ class TestRunAttack:
                 run = run_attack_detailed(
                     make_config(minions, seed=seed, horizon=400), record_trace=True
                 )
-                assert [row.slot for row in run.trace] == list(range(run.result.slots_elapsed))
-                canonical = [row.height for row in run.trace if row.chain == "canonical"]
-                fork = [row.height for row in run.trace if row.chain == "fork"]
+                assert [slot for slot, *_ in run.trace] == list(range(run.result.slots_elapsed))
+                canonical = [height for _, _, chain, height, _ in run.trace if chain == "canonical"]
+                fork = [height for _, _, chain, height, _ in run.trace if chain == "fork"]
                 assert canonical == list(range(1, len(canonical) + 1))
                 assert fork == list(range(1, len(fork) + 1))
                 assert len(fork) == run.result.fork_length
@@ -159,8 +162,12 @@ class TestRunAttack:
     def test_exactly_one_target_block(self):
         for seed in range(8):
             run = run_attack_detailed(make_config({0, 1}, seed=seed), record_trace=True)
-            targets = [row for row in run.trace if row.event == "target"]
-            assert [(t.slot, t.chain, t.height) for t in targets] == [(0, "canonical", 1)]
+            targets = [
+                (slot, chain, height)
+                for slot, _, chain, height, event in run.trace
+                if event == "target"
+            ]
+            assert targets == [(0, "canonical", 1)]
 
     def test_successful_attack_reverts_target(self):
         run = run_attack_detailed(make_config({0, 1}, seed=3), record_trace=True)
@@ -169,7 +176,8 @@ class TestRunAttack:
         # target at height 1 included, is reverted
         assert run.result.reverted_blocks == canonical_height(run) >= 1
         assert run.result.fork_length == run.result.reverted_blocks + 1
-        assert run.trace[-1].chain == "fork"
+        _, _, last_chain, _, _ = run.trace[-1]
+        assert last_chain == "fork"
 
     def test_failed_attack_keeps_target_canonical(self):
         run = run_attack_detailed(
@@ -199,10 +207,11 @@ class TestRunAttack:
 
     def test_trace_marks_target_and_trigger(self):
         run = run_attack_detailed(make_config({0, 1}, seed=3), record_trace=True)
-        assert run.trace[0].event == "target"
+        events = [event for *_, event in run.trace]
+        assert events[0] == "target"
         # one block per slot: the target reaches 3 confirmations at slot 2
-        assert run.trace[2].event == "trigger"
-        assert run.trace[-1].event == "success"
+        assert events[2] == "trigger"
+        assert events[-1] == "success"
 
 
 class TestRaceAgainstCounterModel:
@@ -357,9 +366,16 @@ class TestSimConfigValidation:
 
     def test_payload_round_trip(self):
         assert sim_config_from_payload(SIM_DOC) == make_config({0, 1}, seed=17)
-        # keys that are not config fields are ignored
-        doc = dict(SIM_DOC, double_spend_value="20", comment="x")
-        assert sim_config_from_payload(doc) == make_config({0, 1}, seed=17)
+        # the optional fields take their defaults
+        doc = {k: v for k, v in SIM_DOC.items() if k not in ("rng_seed", "threshold_t")}
+        assert sim_config_from_payload(doc) == make_config({0, 1}, seed=0)
+
+    @pytest.mark.parametrize("key", ["threshold", "double_spend_value", "comment"])
+    def test_unknown_field_rejected_by_name(self, key):
+        # a misspelt optional field would otherwise run at its default
+        doc = dict(SIM_DOC, **{key: "3/4"})
+        with pytest.raises(ValueError, match=rf"^sim: unknown field '{key}'; fields: \["):
+            sim_config_from_payload(doc)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -325,6 +325,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="missing field 't'"):
             params_from_json_dict(doc)
 
+    @pytest.mark.parametrize("key", ["rdp", "threshold_t", "comment"])
+    def test_unknown_field_rejected_by_name(self, p3, key):
+        doc = dict(params_to_json_dict(p3), **{key: "-3"})
+        with pytest.raises(ValueError, match=rf"^params: unknown field '{key}'; fields: \["):
+            params_from_json_dict(doc)
+
     def test_bad_rational_named(self, p3):
         doc = params_to_json_dict(p3)
         doc["r_h"][1] = "two"

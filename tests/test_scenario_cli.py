@@ -1,5 +1,6 @@
 """Tests for scenario loading, the batch runner, and the CLI."""
 
+import hashlib
 import json
 import os
 import re
@@ -149,6 +150,20 @@ class TestLoadScenario:
         assert main(["verify", str(file)]) == 2
         err = capsys.readouterr().err
         assert f"error: scenario {file}: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("sim", "threshold"), ("params", "rdp")],
+        ids=["sim-threshold", "params-rdp"],
+    )
+    def test_unknown_section_field_exits_2_naming_it(self, tmp_path, capsys, section, key):
+        # under PoS a misspelt "threshold_t" would otherwise run at the default t = 1/2
+        base = dict(P3_SIM, consensus="pos_slashing") if section == "sim" else P3_PARAMS
+        file = write_scenario(tmp_path, **{section: dict(base, **{key: "3/4"})})
+        assert main(["verify", str(file)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: scenario {file}: {section}: unknown field '{key}'; fields: [" in err
+        assert "Traceback" not in err
 
     def test_bad_schema_version(self, tmp_path):
         file = write_scenario(tmp_path, schema_version=2)
@@ -480,6 +495,26 @@ class TestCli:
         assert main(["chain-sim", str(file), "--trace", "--out", str(out)]) == 0
         trace = (out / "chain_trace_0.csv").read_text()
         assert trace.splitlines()[0] == "slot,producer,chain,height,event"
+
+    @pytest.mark.parametrize(
+        "scenario, digest",
+        [
+            (None, "034926267f2708e465791f2f0d132e86c7f1b62f7ea05e951ca32c1b17128084"),
+            # a minority fork that loses: 2500 slots, canonical and fork rows interleaved
+            ({"minions": [2], "confirmations": 6, "horizon_slots": 2500},
+             "1cb53ee63d4183a7c1026c0a54a0240a30313120ca54a20fde8b2d155088c665"),
+        ],
+        ids=["p3", "minority-2500"],
+    )
+    def test_chain_sim_trace_bytes_pinned(self, tmp_path, scenario, digest):
+        if scenario is None:
+            file = REPO_SCENARIOS / "p3.json"
+        else:
+            sim = dict(P3_SIM, **scenario)
+            file = write_scenario(tmp_path, sim=sim, tasks=[{"kind": "chain_sim", "runs": 1}])
+        out = tmp_path / "out"
+        assert main(["chain-sim", str(file), "--trace", "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "chain_trace_0.csv").read_bytes()).hexdigest() == digest
 
     def test_chain_sim_trace_needs_an_output_directory(self, tmp_path, capsys, monkeypatch):
         file = write_scenario(tmp_path, tasks=[{"kind": "chain_sim", "runs": 1}])
