@@ -312,7 +312,7 @@ def replay_events(lines: Iterable[str]) -> ReplayResult:
             continue
         try:
             event = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ValueError(f"event log line {line_no}: invalid JSON: {exc}") from exc
         try:
             if not isinstance(event, dict):

@@ -354,6 +354,7 @@ MUTATION_MALICIOUS_REWARD_BELOW_HONEST = "malicious_reward_below_honest"
 MUTATIONS = (MUTATION_DEVIANT_REWARD_ABOVE_HONEST, MUTATION_MALICIOUS_REWARD_BELOW_HONEST)
 REWARD_SCALE = 10  # r_h and each reward gap lie in 1..REWARD_SCALE (r_m - r_dp: twice that)
 POWER_SCALE = 20   # unnormalized power weights are drawn from 1..POWER_SCALE
+_N_RANGE = (3, 8)  # the default and the widest node-count range drawn (subset scans are 2^n)
 
 
 class _Draw(NamedTuple):
@@ -422,7 +423,7 @@ def _game_params(draw: _Draw) -> GameParams:
 
 def random_game_params(
     rng: random.Random,
-    n_range: tuple[int, int] = (3, 8),
+    n_range: tuple[int, int] = _N_RANGE,
     mutation: str | None = None,
 ) -> GameParams:
     """Draw a valid parameter set by rejection sampling with repair.
@@ -543,15 +544,15 @@ def _validate_verifier_args(instances: int, n_range: tuple[int, int]) -> None:
     if instances < 1:
         raise ValueError("instances must be >= 1")
     n_min, n_max = n_range
-    if not (3 <= n_min <= n_max <= 8):
-        raise ValueError(f"n_range {n_range} must lie within [3, 8] (subset scans are 2^n)")
+    if not (_N_RANGE[0] <= n_min <= n_max <= _N_RANGE[1]):
+        raise ValueError(f"n_range {n_range} must lie within {list(_N_RANGE)} (subset scans are 2^n)")
 
 
 def verify_theorem(
     theorem: str,
     generator_seed: int,
     instances: int,
-    n_range: tuple[int, int] = (3, 8),
+    n_range: tuple[int, int] = _N_RANGE,
     mutation: str | None = None,
 ) -> VerificationReport:
     """Check one equilibrium claim over randomly drawn valid parameter sets.
@@ -589,7 +590,7 @@ def verify_theorem(
 def verify_deposit_theorem(
     generator_seed: int,
     instances: int,
-    n_range: tuple[int, int] = (3, 8),
+    n_range: tuple[int, int] = _N_RANGE,
 ) -> VerificationReport:
     """Randomized check of the deposit bound: `verify_theorem("T2", ...)`."""
     return verify_theorem("T2", generator_seed, instances, n_range)

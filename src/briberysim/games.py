@@ -111,9 +111,6 @@ class PowerDistribution:
     def n(self) -> int:
         return len(self.powers)
 
-    def total(self) -> Fraction:
-        return Fraction(sum(self.weights), self.scale)
-
     def is_normalized(self) -> bool:
         return all(w > 0 for w in self.weights) and sum(self.weights) == self.scale
 
@@ -221,90 +218,40 @@ def validate_params(params: GameParams) -> list[AssumptionViolation]:
     number and, where applicable, the offending node index.
     """
     violations: list[AssumptionViolation] = []
-    n = params.n
-    t = params.threshold_t
 
-    if n < 2:
-        violations.append(
-            AssumptionViolation(1, None, f"Assumption 1: need at least 2 nodes, got {n}")
-        )
+    def violated(assumption: int, node: NodeId | None, text: str) -> None:
+        violations.append(AssumptionViolation(assumption, node, f"Assumption {assumption}: {text}"))
+
+    fmt = format_rational
+    t = params.threshold_t
+    if params.n < 2:
+        violated(1, None, f"need at least 2 nodes, got {params.n}")
     for i, p in enumerate(params.powers):
         if p <= 0:
-            violations.append(
-                AssumptionViolation(
-                    1, i, f"Assumption 1: v_{i} = {format_rational(p)} is not strictly positive"
-                )
-            )
-    total = params.powers.total()
-    if total != 1:
-        violations.append(
-            AssumptionViolation(
-                1, None, f"Assumption 1: powers sum to {format_rational(total)}, not 1"
-            )
-        )
-
-    for i in range(n):
-        r_h = params.reward_honest[i]
-        r_d = params.reward_deviant_vs_honest[i]
+            violated(1, i, f"v_{i} = {fmt(p)} is not strictly positive")
+    if sum(params.powers.weights) != params.powers.scale:
+        violated(1, None, f"powers sum to {fmt(sum(params.powers))}, not 1")
+    for i, (r_h, r_d) in enumerate(zip(params.reward_honest, params.reward_deviant_vs_honest)):
         if r_h <= 0:
-            violations.append(
-                AssumptionViolation(
-                    3, i, f"Assumption 3: r_h_{i} = {format_rational(r_h)} is not positive"
-                )
-            )
+            violated(3, i, f"r_h_{i} = {fmt(r_h)} is not positive")
         if r_d >= r_h:
-            violations.append(
-                AssumptionViolation(
-                    3,
-                    i,
-                    f"Assumption 3: r_d_{i} = {format_rational(r_d)} >= "
-                    f"r_h_{i} = {format_rational(r_h)}",
-                )
-            )
-
-    for i in range(n):
-        r_h = params.reward_honest[i]
-        r_m = params.reward_malicious[i]
-        r_dp = params.reward_deviant_vs_malicious[i]
+            violated(3, i, f"r_d_{i} = {fmt(r_d)} >= r_h_{i} = {fmt(r_h)}")
+    for i, (r_h, r_m, r_dp) in enumerate(
+        zip(params.reward_honest, params.reward_malicious, params.reward_deviant_vs_malicious)
+    ):
         if r_m <= r_h:
-            violations.append(
-                AssumptionViolation(
-                    4,
-                    i,
-                    f"Assumption 4: r_m_{i} = {format_rational(r_m)} <= "
-                    f"r_h_{i} = {format_rational(r_h)}",
-                )
-            )
+            violated(4, i, f"r_m_{i} = {fmt(r_m)} <= r_h_{i} = {fmt(r_h)}")
         if r_dp >= r_m:
-            violations.append(
-                AssumptionViolation(
-                    4,
-                    i,
-                    f"Assumption 4: r_dp_{i} = {format_rational(r_dp)} >= "
-                    f"r_m_{i} = {format_rational(r_m)}",
-                )
-            )
-
+            violated(4, i, f"r_dp_{i} = {fmt(r_dp)} >= r_m_{i} = {fmt(r_m)}")
     if t < Fraction(1, 2):
-        violations.append(
-            AssumptionViolation(5, None, f"Assumption 5: t = {format_rational(t)} < 1/2")
-        )
+        violated(5, None, f"t = {fmt(t)} < 1/2")
     # t >= 1 makes every protocol unreachable (total power is 1), so the
     # threshold would be meaningless; reported under the same assumption.
     if t >= 1:
-        violations.append(
-            AssumptionViolation(
-                5, None, f"Assumption 5: t = {format_rational(t)} >= 1, unreachable threshold"
-            )
-        )
+        violated(5, None, f"t = {fmt(t)} >= 1, unreachable threshold")
     for i, p in enumerate(params.powers):
         if p >= t:
-            violations.append(
-                AssumptionViolation(
-                    5, i, f"Assumption 5: v_{i} = {format_rational(p)} >= t = {format_rational(t)}"
-                )
-            )
-
+            violated(5, i, f"v_{i} = {fmt(p)} >= t = {fmt(t)}")
     return violations
 
 

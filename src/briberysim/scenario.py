@@ -38,6 +38,7 @@ from .chainsim import (
 from .contract import ContractError, replay_events
 from .equilibrium import (
     MUTATIONS,
+    _N_RANGE,
     _check_enumeration_limit,
     _check_t2,
     _validate_order,
@@ -130,7 +131,8 @@ def load_scenario(path: str | Path) -> Scenario:
     """Load and fully validate a scenario file.
 
     Parse errors name the offending field; game parameters are validated
-    against the model assumptions and any violation is a load error.
+    against the model assumptions and any violation is a load error. Errors
+    name the file, except a task's own, which `with_tasks` names by task.
     """
     path = Path(path)
     try:
@@ -141,73 +143,61 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # e.g. not UTF-8, or nested too deeply
+        raise ScenarioError(f"scenario {path}: invalid JSON: {exc}") from exc
+    try:
+        scenario = _scenario_from_doc(doc, path.parent)
+    except ValueError as exc:
+        raise ScenarioError(f"scenario {path}: {exc}") from exc
+    return with_tasks(scenario, scenario.tasks)
+
+
+def _scenario_from_doc(doc: object, base_dir: Path) -> Scenario:
+    """The scenario a decoded file holds, its tasks not yet parsed."""
     if not isinstance(doc, dict):
-        raise ScenarioError(f"scenario {path}: top level must be an object")
+        raise ValueError("top level must be an object")
     unknown = [key for key in doc if key not in SCENARIO_KEYS]
     if unknown:
-        raise ScenarioError(
-            f"scenario {path}: unknown top-level key {unknown[0]!r}; keys: {list(SCENARIO_KEYS)}"
-        )
-
+        raise ValueError(f"unknown top-level key {unknown[0]!r}; keys: {list(SCENARIO_KEYS)}")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"scenario {path}: schema_version must be {SCHEMA_VERSION}, got {version!r}"
-        )
-    if "name" not in doc or not isinstance(doc["name"], str):
-        raise ScenarioError(f"scenario {path}: missing string field 'name'")
+        raise ValueError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    if not isinstance(doc.get("name"), str):
+        raise ValueError("missing string field 'name'")
     if not isinstance(doc.get("seed"), int) or isinstance(doc["seed"], bool):
-        raise ScenarioError(f"scenario {path}: missing integer field 'seed'")
+        raise ValueError("missing integer field 'seed'")
 
-    params = None
-    if "params" in doc:
-        try:
-            params = params_from_json_dict(doc["params"], "params")
-        except ValueError as exc:
-            raise ScenarioError(f"scenario {path}: {exc}") from exc
-        violations = validate_params(params)
-        if violations:
-            raise ScenarioError(
-                f"scenario {path}: params violate assumptions: "
-                + "; ".join(str(v) for v in violations)
-            )
+    params = params_from_json_dict(doc["params"], "params") if "params" in doc else None
+    if params is not None and (violations := validate_params(params)):
+        raise ValueError("params violate assumptions: " + "; ".join(map(str, violations)))
 
     output_dir = doc.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
-        raise ScenarioError(f"scenario {path}: 'output_dir' must be a path string")
+        raise ValueError("'output_dir' must be a path string")
 
-    sim = None
-    if "sim" in doc:
-        try:
-            sim = sim_config_from_payload(doc["sim"], "sim")
-        except ValueError as exc:
-            raise ScenarioError(f"scenario {path}: {exc}") from exc
+    sim = sim_config_from_payload(doc["sim"], "sim") if "sim" in doc else None
 
     raw_tasks = doc.get("tasks", [])
     if not isinstance(raw_tasks, list):
-        raise ScenarioError(f"scenario {path}: 'tasks' must be an array")
+        raise ValueError("'tasks' must be an array")
     tasks: list[TaskSpec] = []
     for index, entry in enumerate(raw_tasks):
         if not isinstance(entry, dict) or "kind" not in entry:
-            raise ScenarioError(f"scenario {path}: tasks[{index}] needs a 'kind' field")
+            raise ValueError(f"tasks[{index}] needs a 'kind' field")
         kind = entry["kind"]
         if kind not in TASK_KINDS:
-            raise ScenarioError(
-                f"scenario {path}: tasks[{index}].kind {kind!r} not one of {TASK_KINDS}"
-            )
-        options = {k: v for k, v in entry.items() if k != "kind"}
-        tasks.append(TaskSpec(kind=kind, options=options))
+            raise ValueError(f"tasks[{index}].kind {kind!r} not one of {TASK_KINDS}")
+        tasks.append(TaskSpec(kind=kind, options={k: v for k, v in entry.items() if k != "kind"}))
 
-    scenario = Scenario(
+    return Scenario(
         name=doc["name"],
         seed=doc["seed"],
         params=params,
         sim=sim,
-        tasks=(),
+        tasks=tuple(tasks),
         output_dir=output_dir,
-        base_dir=path.parent,
+        base_dir=base_dir,
     )
-    return with_tasks(scenario, tuple(tasks))
 
 
 def with_tasks(scenario: Scenario, tasks: tuple[TaskSpec, ...]) -> Scenario:
@@ -271,7 +261,7 @@ def _verify_options(task: TaskSpec) -> tuple[int, tuple[int, int], str | None]:
     """`instances`, `n_range` and `mutation` of a verify_t* task."""
     opts = task.options
     instances = parse_int(opts.get("instances", DEFAULT_INSTANCES[task.kind]), "'instances'")
-    n_range = opts.get("n_range", [3, 8])
+    n_range = opts.get("n_range", list(_N_RANGE))
     if not isinstance(n_range, list) or len(n_range) != 2:
         raise ValueError(f"'n_range': expected [n_min, n_max], got {n_range!r}")
     n_range = tuple(parse_int(n, "'n_range'") for n in n_range)

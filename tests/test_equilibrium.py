@@ -1,6 +1,7 @@
 """Tests for Nash checks, dominance, cascades, deposits, and the verifiers."""
 
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -336,6 +337,18 @@ class TestVerifyTheorem:
     def test_n_range_outside_cap_rejected(self):
         with pytest.raises(ValueError, match="n_range"):
             verify_theorem("T3", 1, 10, n_range=(3, 9))
+
+    @pytest.mark.parametrize("n_range", [(2, 8), (3, 9), (5, 4)])
+    def test_n_range_bound_text_pinned(self, n_range):
+        message = f"n_range {n_range} must lie within [3, 8] (subset scans are 2^n)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_theorem("T3", 1, 10, n_range=n_range)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_deposit_theorem(1, 10, n_range=n_range)
+
+    def test_n_range_default_pinned(self):
+        for function in (random_game_params, verify_theorem, verify_deposit_theorem):
+            assert inspect.signature(function).parameters["n_range"].default == (3, 8)
 
     def test_payload_shape(self):
         payload = verify_theorem("T4", 7, 25).to_payload()

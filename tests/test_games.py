@@ -101,6 +101,44 @@ class TestValidateParams:
         violations = validate_params(params)
         assert [v.node for v in violations] == [1]
 
+    def test_every_check_pinned_in_order(self):
+        # the two sets fail all ten checks between them (t < 1/2 and t >= 1
+        # exclude each other); each record and its order is pinned exactly
+        one_node = uniform_params(("0",), "0", 0, 1, -1, 2)
+        two_nodes = GameParams(
+            powers=PowerDistribution(("3/2", "-1/4")),
+            threshold_t=Fraction(5, 4),
+            reward_honest=(-1, 1),
+            reward_deviant_vs_honest=(-2, 1),
+            reward_malicious=(5, 1),
+            reward_deviant_vs_malicious=(-3, 1),
+        )
+
+        def records(params):
+            return [(v.assumption, v.node, v.message) for v in validate_params(params)]
+
+        assert records(one_node) == [
+            (1, None, "Assumption 1: need at least 2 nodes, got 1"),
+            (1, 0, "Assumption 1: v_0 = 0 is not strictly positive"),
+            (1, None, "Assumption 1: powers sum to 0, not 1"),
+            (3, 0, "Assumption 3: r_h_0 = 0 is not positive"),
+            (3, 0, "Assumption 3: r_d_0 = 1 >= r_h_0 = 0"),
+            (4, 0, "Assumption 4: r_m_0 = -1 <= r_h_0 = 0"),
+            (4, 0, "Assumption 4: r_dp_0 = 2 >= r_m_0 = -1"),
+            (5, None, "Assumption 5: t = 0 < 1/2"),
+            (5, 0, "Assumption 5: v_0 = 0 >= t = 0"),
+        ]
+        assert records(two_nodes) == [
+            (1, 1, "Assumption 1: v_1 = -1/4 is not strictly positive"),
+            (1, None, "Assumption 1: powers sum to 5/4, not 1"),
+            (3, 0, "Assumption 3: r_h_0 = -1 is not positive"),
+            (3, 1, "Assumption 3: r_d_1 = 1 >= r_h_1 = 1"),
+            (4, 1, "Assumption 4: r_m_1 = 1 <= r_h_1 = 1"),
+            (4, 1, "Assumption 4: r_dp_1 = 1 >= r_m_1 = 1"),
+            (5, None, "Assumption 5: t = 5/4 >= 1, unreachable threshold"),
+            (5, 0, "Assumption 5: v_0 = 3/2 >= t = 5/4"),
+        ]
+
     def test_mismatched_reward_length_is_structural(self):
         with pytest.raises(ValueError, match="entries for"):
             GameParams(

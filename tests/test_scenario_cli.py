@@ -165,6 +165,44 @@ class TestLoadScenario:
         assert f"error: scenario {file}: {section}: unknown field '{key}'; fields: [" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (None, "top level must be an object"),
+            ({"extra": 1}, "unknown top-level key 'extra'; keys: ['schema_version', 'name', "
+                           "'seed', 'params', 'sim', 'tasks', 'output_dir']"),
+            ({"schema_version": 2}, "schema_version must be 1, got 2"),
+            ({"name": None}, "missing string field 'name'"),
+            ({"seed": "7"}, "missing integer field 'seed'"),
+            ({"params": {k: v for k, v in P3_PARAMS.items() if k != "t"}},
+             "params: missing field 't'"),
+            ({"params": dict(P3_PARAMS, t="2/5")},
+             "params violate assumptions: Assumption 5: t = 2/5 < 1/2; "
+             "Assumption 5: v_0 = 2/5 >= t = 2/5"),
+            ({"output_dir": 5}, "'output_dir' must be a path string"),
+            ({"sim": dict(P3_SIM, confirmations=0)}, "sim config: confirmations must be >= 1"),
+            ({"tasks": {}}, "'tasks' must be an array"),
+            ({"tasks": [{"runs": 1}]}, "tasks[0] needs a 'kind' field"),
+            ({"tasks": [{"kind": "deposit_bound"}, {"kind": "frobnicate"}]},
+             "tasks[1].kind 'frobnicate' not one of ('verify_t1', 'verify_t3', 'verify_t4', "
+             "'dominance', 'cascade', 'deposit_bound', 'contract_trace', 'chain_sim', 'sweep')"),
+        ],
+        ids=["not-an-object", "unknown-key", "schema_version", "name", "seed", "params-parse",
+             "params-assumption", "output_dir", "sim", "tasks-not-array", "task-no-kind",
+             "unknown-kind"],
+    )
+    def test_file_level_error_texts_pinned(self, tmp_path, capsys, overrides, message):
+        if overrides is None:
+            file = tmp_path / "scenario.json"
+            file.write_text("[]", encoding="utf-8")
+        else:
+            file = write_scenario(tmp_path, **overrides)
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(file)
+        assert str(caught.value) == f"scenario {file}: {message}"
+        assert main(["verify", str(file)]) == 2
+        assert capsys.readouterr().err == f"error: scenario {file}: {message}\n"
+
     def test_bad_schema_version(self, tmp_path):
         file = write_scenario(tmp_path, schema_version=2)
         with pytest.raises(ScenarioError, match="schema_version"):
@@ -177,6 +215,23 @@ class TestLoadScenario:
         err = capsys.readouterr().err
         assert f"error: scenario {file}: invalid JSON at line 4: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+            (b"\xff\xfe{}", "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 0"),
+        ],
+        ids=["nested-too-deeply", "not-utf-8"],
+    )
+    def test_undecodable_file_exits_2_naming_it(self, tmp_path, capsys, content, message):
+        file = tmp_path / "scenario.json"
+        file.write_bytes(content)
+        with pytest.raises(ScenarioError, match=f"^scenario {re.escape(str(file))}: "):
+            load_scenario(file)
+        assert main(["verify", str(file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario {file}: {message}") and "Traceback" not in err
 
     def test_options_parsed_once_at_load(self, monkeypatch):
         # every option parse and the event-log replay run once per task, while
@@ -193,6 +248,13 @@ class TestLoadScenario:
             ("load", "_sweep_options"): 1,
             ("load", "replay_events"): 1,
         }
+
+    def test_verify_task_defaults(self, tmp_path):
+        file = write_scenario(tmp_path, tasks=[{"kind": kind} for kind in ("verify_t1", "verify_t3")])
+        assert [task.args for task in load_scenario(file).tasks] == [
+            (1000, (3, 8), None),
+            (500, (3, 8), None),
+        ]
 
     def test_decimal_numbers_parse_exactly(self, tmp_path):
         file = write_scenario(tmp_path, params=dict(P3_PARAMS, t=0.55))
@@ -623,6 +685,15 @@ class TestCli:
         assert expected in capsys.readouterr().err
         assert main(["contract-trace", str(tmp_path / "short.jsonl")]) == 2
         assert expected.replace("tasks[1]", "tasks[0]") in capsys.readouterr().err
+
+    def test_contract_trace_nested_too_deeply_exits_2_naming_the_line(self, tmp_path, capsys):
+        (tmp_path / "deep.jsonl").write_text('{"event": ' + "[" * 100_000 + "\n", encoding="utf-8")
+        assert main(["contract-trace", str(tmp_path / "deep.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: tasks[0] (contract_trace): deep.jsonl: event log line 1: invalid JSON: "
+        )
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, dropped, kind, message",
