@@ -230,10 +230,8 @@ def sim_config_from_payload(doc: dict, context: str = "sim") -> SimConfig:
     try:
         consensus = Consensus(doc["consensus"])
     except ValueError:
-        raise ValueError(
-            f"{context}.consensus: {doc['consensus']!r} is not one of "
-            f"{[c.value for c in Consensus]}"
-        ) from None
+        values = [c.value for c in Consensus]
+        raise ValueError(f"{context}.consensus: {doc['consensus']!r} is not one of {values}") from None
     minions = doc["minions"]
     if not isinstance(minions, list):
         raise ValueError(f"{context}.minions: expected an array of node indices, got {minions!r}")

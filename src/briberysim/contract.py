@@ -4,11 +4,12 @@ The briber (magnate) funds the contract with a deposit to be shared, in
 proportion to voting power, among nodes (minions) that commit and then
 execute the malicious protocol. Lifecycle:
 
-* init: contract opens with the magnate's deposit, an expiration time, and
-  the order set to the honest protocol;
+* init: contract opens with the magnate's deposit and an expiration time;
+  the order is the honest protocol;
 * commit: a node joins with its own deposit while the contract is open and
   unexpired; once committed power strictly exceeds t (the game's test,
-  `PowerDistribution.exceeds`) the order flips, irreversibly, to malicious;
+  `PowerDistribution.exceeds`) the order is malicious and commits close, so
+  the order never flips back;
 * distribute: each minion settles exactly once against an oracle report of
   the attack outcome and of what each minion actually executed -
   share payout on success, plain refund after expiration when the attack
@@ -17,23 +18,24 @@ execute the malicious protocol. Lifecycle:
   pending) records nothing.
 
 Transitions are pure: every operation returns a new state, so an event log
-replays to a bit-identical final state. Time is an integer logical clock
-advanced explicitly by events.
+replays to a bit-identical final state. A state stores only its commits,
+settlements and clock; the order and the phase are derived from them. Time
+is an integer logical clock advanced explicitly by events.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .games import NodeId, PowerDistribution
-from .rational import format_rational, parse_bool, parse_int, parse_rational, parse_rational_list
+from .rational import decode_json, format_rational, parse_bool, parse_int, parse_rational
+from .rational import parse_rational_list
 
 
-class ContractError(Exception):
+class ContractError(ValueError):
     """Violation of a contract precondition (double commit, bad clock, ...)."""
 
 
@@ -83,44 +85,44 @@ class OracleReport:
 
 @dataclass(frozen=True)
 class ContractState:
-    """Immutable contract snapshot; mappings are never mutated in place."""
+    """Immutable contract snapshot; `order` and `phase` are derived, not stored."""
 
     config: ContractConfig
-    phase: Phase
-    order: Protocol
     minions: Mapping[NodeId, Fraction]  # committed deposits
     # how each settled minion settled, and its recorded payout (0 for burns)
     settlements: Mapping[NodeId, tuple[SettlementOutcome, Fraction]]
     clock: int
 
+    @property
+    def order(self) -> Protocol:
+        """MALICIOUS once committed power exceeds t; commits close then, so it stays."""
+        if self.config.powers.exceeds(self.minions, self.config.threshold_t):
+            return Protocol.MALICIOUS
+        return Protocol.HONEST
+
+    @property
+    def phase(self) -> Phase:
+        """SETTLED once every minion (at least one) has settled, else set by `order`."""
+        if self.settlements and len(self.settlements) == len(self.minions):
+            return Phase.SETTLED
+        return Phase.ATTACK_ORDERED if self.order is Protocol.MALICIOUS else Phase.OPEN
+
 
 def contract_init(config: ContractConfig) -> ContractState:
     """Open a contract: no minions, honest order, clock at zero."""
     if config.magnate_deposit <= 0:
-        raise ContractError(
-            f"invalid config: magnate deposit {format_rational(config.magnate_deposit)} "
-            "must be positive"
-        )
+        raise ContractError(f"invalid config: magnate deposit {config.magnate_deposit} must be positive")
     if config.expiration_time <= 0:
         raise ContractError(f"invalid config: expiration time {config.expiration_time} must be > 0")
     if not config.powers.is_normalized():
         raise ContractError("invalid config: powers must be positive and sum to exactly 1")
     if not 0 < config.threshold_t < 1:
-        raise ContractError(
-            f"invalid config: threshold {format_rational(config.threshold_t)} not in (0, 1)"
-        )
-    return ContractState(
-        config=config,
-        phase=Phase.OPEN,
-        order=Protocol.HONEST,
-        minions={},
-        settlements={},
-        clock=0,
-    )
+        raise ContractError(f"invalid config: threshold {config.threshold_t} not in (0, 1)")
+    return ContractState(config=config, minions={}, settlements={}, clock=0)
 
 
 def contract_commit(state: ContractState, node: NodeId, deposit: Fraction) -> ContractState:
-    """Add a minion and its deposit; flip the order once power exceeds t.
+    """Add a minion and its deposit; the order is malicious once power exceeds t.
 
     Commits are rejected after expiration and after the order has been
     issued: freezing the minion set at trigger time keeps each share
@@ -139,12 +141,7 @@ def contract_commit(state: ContractState, node: NodeId, deposit: Fraction) -> Co
     deposit = Fraction(deposit)
     if deposit <= 0:
         raise ContractError(f"commit rejected: deposit {format_rational(deposit)} must be positive")
-    minions = dict(state.minions)
-    minions[node] = deposit
-    new_state = replace(state, minions=minions)
-    if state.config.powers.exceeds(minions, state.config.threshold_t):
-        new_state = replace(new_state, phase=Phase.ATTACK_ORDERED, order=Protocol.MALICIOUS)
-    return new_state
+    return replace(state, minions={**state.minions, node: deposit})
 
 
 def advance_clock(state: ContractState, to: int) -> ContractState:
@@ -183,9 +180,7 @@ def contract_distribute(
     else:
         return state, SettlementOutcome.PENDING
 
-    settlements = {**state.settlements, node: (outcome, payout)}
-    phase = Phase.SETTLED if len(settlements) == len(state.minions) else state.phase
-    return replace(state, settlements=settlements, phase=phase), outcome
+    return replace(state, settlements={**state.settlements, node: (outcome, payout)}), outcome
 
 
 @dataclass(frozen=True)
@@ -277,15 +272,13 @@ def oracle_from_payload(doc: dict) -> OracleReport:
         raise ValueError("executed_protocol: expected an object of node -> protocol")
     executed = {}
     for key, value in entries.items():
-        if not (key.isascii() and key.isdigit()):
+        if not (key.isascii() and key.isdigit() and key == str(int(key))):
             raise ValueError(f"executed_protocol: key {key!r} is not a node index")
         try:
             executed[int(key)] = Protocol(value)
         except ValueError:
             raise ValueError(f"executed_protocol[{key!r}]: {value!r} is not a protocol") from None
-    return OracleReport(
-        attack_successful=_field(doc, "attack_successful", parse_bool), executed_protocol=executed
-    )
+    return OracleReport(_field(doc, "attack_successful", parse_bool), executed)
 
 
 @dataclass(frozen=True)
@@ -300,8 +293,9 @@ class ReplayResult:
 def replay_events(lines: Iterable[str]) -> ReplayResult:
     """Replay a JSON-lines event log into a final contract state.
 
-    A malformed line raises ValueError naming the line and the field; a
-    transition the contract forbids raises ContractError naming the line.
+    Lines are decoded by `decode_json`. A malformed line raises ValueError
+    naming the line and the field; a transition the contract forbids raises
+    ContractError (a ValueError) naming the line.
     """
     state: ContractState | None = None
     oracle: OracleReport | None = None
@@ -311,10 +305,7 @@ def replay_events(lines: Iterable[str]) -> ReplayResult:
         if not line:
             continue
         try:
-            event = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
-            raise ValueError(f"event log line {line_no}: invalid JSON: {exc}") from exc
-        try:
+            event = decode_json(line)
             if not isinstance(event, dict):
                 raise ValueError("expected a JSON object")
             kind = event.get("event")
@@ -340,9 +331,7 @@ def replay_events(lines: Iterable[str]) -> ReplayResult:
             else:
                 raise ValueError(f"unknown event {kind!r}")
         except ValueError as exc:
-            raise ValueError(f"event log line {line_no}: {exc}") from None
-        except ContractError as exc:
-            raise ContractError(f"event log line {line_no}: {exc}") from None
+            raise type(exc)(f"event log line {line_no}: {exc}") from None
     if state is None:
         raise ValueError("event log contains no init event")
     return ReplayResult(final_state=state, outcomes=tuple(outcomes))

@@ -155,9 +155,7 @@ class GameParams:
         ):
             values = tuple(Fraction(v) for v in getattr(self, name))
             if len(values) != self.powers.n:
-                raise ValueError(
-                    f"{name} has {len(values)} entries for {self.powers.n} nodes"
-                )
+                raise ValueError(f"{name} has {len(values)} entries for {self.powers.n} nodes")
             object.__setattr__(self, name, values)
 
     @property

@@ -3,20 +3,46 @@
 All quantities that enter strict threshold comparisons (powers, the
 threshold itself, rewards, deposits) are kept as `fractions.Fraction` and
 serialized as strings like "7/20" so that no precision is lost on a
-round trip.
+round trip. Every JSON input, scenario file and event log alike, is decoded
+by `decode_json`, so a JSON number means its decimal value everywhere.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+
+
+def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return doc
+
+
+# built once: `json.loads(text, **kwargs)` would build a decoder per call;
+# parse_float receives the raw text, so 0.55 becomes exactly 11/20
+_DECODER = json.JSONDecoder(parse_float=Fraction, object_pairs_hook=_reject_repeated_keys)
+
+
+def decode_json(data: str | bytes) -> object:
+    """Decode one JSON document (UTF-8 if bytes): a JSON number like 0.55 is an
+    exact Fraction, a repeated key an error; every error starts `invalid JSON`."""
+    try:
+        return _DECODER.decode(data if isinstance(data, str) else data.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON at line {exc.lineno}: {exc.msg} (column {exc.colno})") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a repeated key, or nested too deeply
+        raise ValueError(f"invalid JSON: {exc}") from None
 
 
 def parse_rational(value: object, field: str = "value") -> Fraction:
     """Parse a rational from a JSON-decoded value.
 
     Accepts rational strings ("7/20", "3", "-0.25"), ints, and Fractions.
-    Floats are rejected: a JSON number like 0.55 must be parsed with
-    `parse_float=Fraction` at decode time to keep its decimal meaning.
+    Floats are rejected: a JSON number like 0.55 keeps its decimal meaning
+    only when decoded by `decode_json`.
     """
     if isinstance(value, Fraction):
         return value

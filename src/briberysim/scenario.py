@@ -35,7 +35,7 @@ from .chainsim import (
     sim_config_from_payload,
     trace_to_csv,
 )
-from .contract import ContractError, replay_events
+from .contract import replay_events
 from .equilibrium import (
     MUTATIONS,
     _N_RANGE,
@@ -56,7 +56,7 @@ from .games import (
     params_from_json_dict,
     validate_params,
 )
-from .rational import format_rational, parse_bool, parse_int, parse_rational
+from .rational import check_fields, decode_json, format_rational, parse_bool, parse_int, parse_rational
 from .seeding import derive_seed
 
 SCHEMA_VERSION = 1
@@ -133,20 +133,15 @@ def load_scenario(path: str | Path) -> Scenario:
     Parse errors name the offending field; game parameters are validated
     against the model assumptions and any violation is a load error. Errors
     name the file, except a task's own, which `with_tasks` names by task.
+    The file is decoded by `decode_json`, so a repeated key is an error.
     """
     path = Path(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            # parse_float receives the raw text, so 0.55 becomes exactly 11/20
-            doc = json.load(fh, parse_float=Fraction)
+        data = path.read_bytes()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario {path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # e.g. not UTF-8, or nested too deeply
-        raise ScenarioError(f"scenario {path}: invalid JSON: {exc}") from exc
     try:
-        scenario = _scenario_from_doc(doc, path.parent)
+        scenario = _scenario_from_doc(decode_json(data), path.parent)
     except ValueError as exc:
         raise ScenarioError(f"scenario {path}: {exc}") from exc
     return with_tasks(scenario, scenario.tasks)
@@ -221,10 +216,7 @@ def with_tasks(scenario: Scenario, tasks: tuple[TaskSpec, ...]) -> Scenario:
 def _parse_task(scenario: Scenario, task: TaskSpec) -> tuple:
     """The arguments `task`'s run takes, parsed from its options."""
     opts = task.options
-    known = TASK_OPTIONS[task.kind]
-    unknown = sorted(set(opts) - set(known))
-    if unknown:
-        raise ValueError(f"unknown option {unknown[0]!r}; options: {list(known)}")
+    check_fields(opts, (), TASK_OPTIONS[task.kind], "options")
     if task.kind in ("dominance", "cascade", "deposit_bound") and scenario.params is None:
         raise ValueError("scenario has no 'params' section")
     if task.kind == "chain_sim" and scenario.sim is None:
@@ -250,7 +242,7 @@ def _parse_task(scenario: Scenario, task: TaskSpec) -> tuple:
             return events, replay, replay.summary()
         except FileNotFoundError:
             raise ValueError(f"events file not found: {events}") from None
-        except (OSError, ValueError, ContractError) as exc:
+        except (OSError, ValueError) as exc:
             raise ValueError(f"{events}: {exc}") from None
     if task.kind == "dominance":
         _check_enumeration_limit(scenario.params.n)
@@ -281,11 +273,7 @@ def _chain_sim_options(opts: dict) -> tuple[int, bool]:
 def _sweep_options(opts: dict) -> tuple[list[tuple], int, int, Consensus]:
     """The cells (d_m, minion_share, confirmations, t) and run settings of a sweep."""
     grid = opts.get("grid")
-    if not isinstance(grid, dict):
-        raise ValueError("'grid' must be an object of axis arrays")
-    unknown = sorted(set(grid) - set(SWEEP_AXES))
-    if unknown:
-        raise ValueError(f"unknown grid axis {unknown[0]!r}; axes: {list(SWEEP_AXES)}")
+    check_fields(grid, (), SWEEP_AXES, "'grid'")
 
     def axis(key: str, default: list, parse) -> list:
         values = grid.get(key, default)

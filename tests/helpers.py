@@ -1,10 +1,10 @@
 """Shared test builders and independent oracles.
 
-A uniform-reward params builder, randomized contract sessions, a Fraction
-power split, a per-profile dominance scan, a counter model of the fork
-race and exact binomial acceptance ranges: each oracle is written as
-directly as the model reads, so that the optimized code can be checked
-against it.
+A uniform-reward params builder, randomized contract sessions and the
+phases their event history implies, a Fraction power split, a per-profile
+dominance scan, a counter model of the fork race and exact binomial
+acceptance ranges: each oracle is written as directly as the model reads,
+so that the optimized code can be checked against it.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from briberysim import (
     DominanceReport,
     GameParams,
     OracleReport,
+    Phase,
     PowerDistribution,
     Protocol,
     SettlementOutcome,
@@ -90,6 +91,9 @@ class ContractSession:
     outcomes: dict[int, SettlementOutcome]
     order_history: list[Protocol]
     commit_power_prefix: list[Fraction]
+    # every transition as (kind, node or None), from "init" on, and the phase after it
+    events: list[tuple[str, int | None]]
+    phase_history: list[Phase]
 
 
 def random_contract_session(rng: random.Random, force_no_trigger: bool = False) -> ContractSession:
@@ -112,6 +116,12 @@ def random_contract_session(rng: random.Random, force_no_trigger: bool = False) 
     )
     state = contract_init(config)
     order_history = [state.order]
+    events: list[tuple[str, int | None]] = [("init", None)]
+    phase_history = [state.phase]
+
+    def record(kind: str, node: int | None, state: ContractState) -> None:
+        events.append((kind, node))
+        phase_history.append(state.phase)
 
     candidates = list(range(n))
     rng.shuffle(candidates)
@@ -134,8 +144,10 @@ def random_contract_session(rng: random.Random, force_no_trigger: bool = False) 
             break
         clock = min(clock + rng.randint(0, 2), expiration - 1)
         state = advance_clock(state, clock)
+        record("advance_clock", None, state)
         deposit = Fraction(rng.randint(1, 30), rng.randint(1, 3))
         state = contract_commit(state, node, deposit)
+        record("commit", node, state)
         deposits[node] = deposit
         acc += powers[node]
         prefix.append(acc)
@@ -154,6 +166,7 @@ def random_contract_session(rng: random.Random, force_no_trigger: bool = False) 
 
     if not success:
         state = advance_clock(state, expiration + rng.randint(1, 5))
+        record("advance_clock", None, state)
         order_history.append(state.order)
 
     settle_order = list(deposits)
@@ -161,6 +174,7 @@ def random_contract_session(rng: random.Random, force_no_trigger: bool = False) 
     outcomes: dict[int, SettlementOutcome] = {}
     for node in settle_order:
         state, outcome = contract_distribute(state, node, oracle)
+        record("distribute", node, state)
         outcomes[node] = outcome
         order_history.append(state.order)
 
@@ -172,7 +186,32 @@ def random_contract_session(rng: random.Random, force_no_trigger: bool = False) 
         outcomes=outcomes,
         order_history=order_history,
         commit_power_prefix=prefix,
+        events=events,
+        phase_history=phase_history,
     )
+
+
+def reference_phases(session: ContractSession) -> list[Phase]:
+    """The phase after each of `session.events`, from the event history alone:
+    ordered once the running Fraction sum of committed power exceeds t,
+    settled once every committed minion (at least one) has settled."""
+    committed_power = Fraction(0)
+    committed: set[int] = set()
+    settled: set[int] = set()
+    phases = []
+    for kind, node in session.events:
+        if kind == "commit":
+            committed.add(node)
+            committed_power += session.config.powers[node]
+        elif kind == "distribute" and session.outcomes[node] is not SettlementOutcome.PENDING:
+            settled.add(node)
+        if settled and settled == committed:
+            phases.append(Phase.SETTLED)
+        elif committed_power > session.config.threshold_t:
+            phases.append(Phase.ATTACK_ORDERED)
+        else:
+            phases.append(Phase.OPEN)
+    return phases
 
 
 def dominance_by_profiles(params: GameParams) -> DominanceReport:

@@ -1,7 +1,8 @@
 """Tests for the bribery contract state machine and its event log."""
 
 import random
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from briberysim import (
     ContractConfig,
     ContractError,
+    ContractState,
     GameParams,
     OracleReport,
     Phase,
@@ -29,7 +31,7 @@ from briberysim import (
     settlement_summary,
 )
 from briberysim.cli import main
-from helpers import random_contract_session
+from helpers import random_contract_session, reference_phases
 
 P3_POWERS = PowerDistribution(("2/5", "7/20", "1/4"))
 
@@ -235,6 +237,50 @@ class TestSettlementSummary:
             settlement_summary(_ordered_state())
 
 
+def phase_and_order_sequence(t: Fraction, steps) -> list[tuple[str, str]]:
+    """`(phase, order)` after init and after each `(kind, node)` step on p3
+    powers at `t`: commits of 9, and distributes against an oracle reporting
+    success with every minion running malicious (so each one is paid)."""
+    state = contract_init(replace(p3_config(), threshold_t=t))
+    oracle = OracleReport(True, {node: Protocol.MALICIOUS for node in range(3)})
+    seen = [(state.phase.value, state.order.value)]
+    for kind, node in steps:
+        if kind == "commit":
+            state = contract_commit(state, node, Fraction(9))
+        else:
+            state, outcome = contract_distribute(state, node, oracle)
+            assert outcome is SettlementOutcome.PAID
+        seen.append((state.phase.value, state.order.value))
+    return seen
+
+
+class TestDerivedOrderAndPhase:
+    def test_state_stores_only_commits_settlements_and_clock(self):
+        assert [f.name for f in fields(ContractState)] == ["config", "minions", "settlements", "clock"]
+
+    def test_paid_without_order_settles_honest(self):
+        seen = phase_and_order_sequence(Fraction(1, 2), [("commit", 0), ("distribute", 0)])
+        assert seen == [("open", "honest")] * 2 + [("settled", "honest")]
+
+    def test_partial_settlement_then_order(self):
+        steps = [("commit", 0), ("commit", 2), ("distribute", 0), ("commit", 1),
+                 ("distribute", 2), ("distribute", 1)]
+        assert phase_and_order_sequence(Fraction(3, 4), steps) == (
+            [("open", "honest")] * 4
+            + [("attack_ordered", "malicious")] * 2
+            + [("settled", "malicious")]
+        )
+
+    def test_phase_after_every_event_matches_the_event_history(self):
+        rng = random.Random(1414)
+        phases = Counter()
+        for _ in range(500):
+            session = random_contract_session(rng)
+            assert session.phase_history == reference_phases(session), session.events
+            phases.update(session.phase_history)
+        assert all(phases[phase] > 0 for phase in Phase)
+
+
 class TestRandomizedProperties:
     def test_conservation_over_random_sessions(self):
         rng = random.Random(2026)
@@ -400,6 +446,41 @@ class TestEventLogReplay:
         assert main(["contract-trace", str(events)]) == 2
         err = capsys.readouterr().err
         assert f"event log line {line_no}: " in err and field in err
+
+    def test_repeated_key_exits_2_naming_it(self, tmp_path, capsys):
+        fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
+        lines = fixture.read_text(encoding="utf-8").splitlines()
+        lines[0] = lines[0].replace('"threshold_t": "1/2"', '"threshold_t": "3/4", "threshold_t": "1/2"')
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["contract-trace", str(events)]) == 2
+        message = "event log line 1: invalid JSON: duplicate key 'threshold_t'"
+        assert capsys.readouterr().err == f"error: tasks[0] (contract_trace): events.jsonl: {message}\n"
+
+    def test_decimal_deposit_is_exact(self):
+        fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
+        lines = fixture.read_text(encoding="utf-8").splitlines()
+        lines[1] = '{"event": "commit", "node": 0, "deposit": 4.5}'
+        replay = replay_events(lines)
+        assert replay.final_state.minions[0] == Fraction(9, 2)
+        assert replay.summary().payouts[0] == Fraction(2, 5) * 9 + Fraction(9, 2)
+
+    def test_oracle_node_key_must_be_canonical(self, tmp_path, capsys):
+        lines = [
+            '{"event": "init", "expiration_time": 100, "magnate_deposit": "9",'
+            ' "threshold_t": "1/2", "powers": ["2/5", "7/20", "1/4"]}',
+            '{"event": "commit", "node": 0, "deposit": "9"}',
+            '{"event": "commit", "node": 1, "deposit": "9"}',
+            '{"event": "oracle_report", "attack_successful": true,'
+            ' "executed_protocol": {"0": "malicious", "00": "honest", "1": "malicious"}}',
+            '{"event": "distribute", "node": 0}',
+            '{"event": "distribute", "node": 1}',
+        ]
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["contract-trace", str(events)]) == 2
+        message = "event log line 4: executed_protocol: key '00' is not a node index"
+        assert capsys.readouterr().err == f"error: tasks[0] (contract_trace): events.jsonl: {message}\n"
 
     def test_blank_lines_skipped(self):
         fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"

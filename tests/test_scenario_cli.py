@@ -152,6 +152,50 @@ class TestLoadScenario:
         assert f"error: scenario {file}: {message}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"seed": 42,', '"seed": 99, "seed": 42,', "seed"),
+            ('"t": "1/2",', '"t": "3/4", "t": "1/2",', "t"),
+        ],
+        ids=["seed", "params-t"],
+    )
+    def test_repeated_key_exits_2_naming_it(self, tmp_path, capsys, old, new, key):
+        # the p3 file runs (exit 0) unless the repeated key is rejected
+        text = (REPO_SCENARIOS / "p3.json").read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        file = tmp_path / "p3.json"
+        file.write_text(text.replace(old, new), encoding="utf-8")
+        events = "p3_contract_events.jsonl"
+        (tmp_path / events).write_bytes((REPO_SCENARIOS / events).read_bytes())
+        assert main(["verify", str(file)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: scenario {file}: invalid JSON: duplicate key '{key}'\n"
+
+    @pytest.mark.parametrize(
+        "task, message",
+        [
+            ({"kind": "sweep", "grid": {}, "r_h": ["2"]},
+             "tasks[0] (sweep): options: unknown field 'r_h'; fields: ['grid', 'runs_per_cell', "
+             "'horizon_slots', 'consensus', 'max_cells']"),
+            ({"kind": "dominance", "order": [0, 1, 2]},
+             "tasks[0] (dominance): options: unknown field 'order'; fields: []"),
+            ({"kind": "sweep", "grid": {"t": ["1/2"], "x": ["1"]}},
+             "tasks[0] (sweep): 'grid': unknown field 'x'; fields: ['d_m', 'minion_share', "
+             "'confirmations', 't']"),
+            ({"kind": "sweep"}, "tasks[0] (sweep): 'grid': expected an object"),
+            ({"kind": "sweep", "grid": [["1/2"]]}, "tasks[0] (sweep): 'grid': expected an object"),
+        ],
+        ids=["unknown-option", "no-options", "unknown-axis", "no-grid", "grid-array"],
+    )
+    def test_option_and_grid_error_texts_pinned(self, tmp_path, capsys, task, message):
+        file = write_scenario(tmp_path, tasks=[task])
+        with pytest.raises(ScenarioError) as caught:
+            load_scenario(file)
+        assert str(caught.value) == message
+        assert main(["verify", str(file)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "section, key",
         [("sim", "threshold"), ("params", "rdp")],
         ids=["sim-threshold", "params-rdp"],
