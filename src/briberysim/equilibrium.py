@@ -1,7 +1,7 @@
 """Equilibrium checks and randomized verification of the collusion claims.
 
-Machine-checks four claims about the two games, by direct enumeration over
-randomly generated valid parameter sets:
+Machine-checks four claims about the two games, exactly, over randomly
+generated valid parameter sets:
 
 * T1: in the no-collusion game, all-honest is a strict Nash equilibrium.
 * T2: a per-minion contract deposit strictly above
@@ -18,8 +18,9 @@ integers. The randomized verifier checks each instance as the integers it
 was drawn as (`_Draw`) and builds a `GameParams`, with Fraction powers and
 rewards, only for the instance it reports as failing; `random_game_params`
 builds one for its callers.
-Profile scans are exhaustive (2^n subsets), which caps enumeration at
-small n.
+Strictness checks flip one node at a time. T3 tests the committed side's
+two weight regions, not its 2^n subsets. Dominance scans all 2^(n-1)
+opponent profiles per node, which caps it at ENUMERATION_LIMIT nodes.
 """
 
 from __future__ import annotations
@@ -354,7 +355,9 @@ MUTATION_MALICIOUS_REWARD_BELOW_HONEST = "malicious_reward_below_honest"
 MUTATIONS = (MUTATION_DEVIANT_REWARD_ABOVE_HONEST, MUTATION_MALICIOUS_REWARD_BELOW_HONEST)
 REWARD_SCALE = 10  # r_h and each reward gap lie in 1..REWARD_SCALE (r_m - r_dp: twice that)
 POWER_SCALE = 20   # unnormalized power weights are drawn from 1..POWER_SCALE
-_N_RANGE = (3, 8)  # the default and the widest node-count range drawn (subset scans are 2^n)
+# the default and the widest node-count range drawn (the tests cross-check
+# T3 on these draws against a scan of all 2^n subsets)
+_N_RANGE = (3, 8)
 
 
 class _Draw(NamedTuple):
@@ -378,25 +381,41 @@ class _Draw(NamedTuple):
 
 
 def _draw(rng: random.Random, n_range: tuple[int, int], mutation: str | None) -> _Draw:
-    """The instance `random_game_params` describes, as integers."""
+    """The instance `random_game_params` describes, as integers.
+
+    `randint` is `rng.randint` without its call layers: like
+    `random.Random._randbelow`, it draws `span.bit_length()` random bits
+    until they fall below the span, so it reads the same stream and returns
+    the same integers.
+    """
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}; known: {MUTATIONS}")
+    getrandbits = rng.getrandbits
+
+    def randint(lo: int, hi: int) -> int:
+        span = hi - lo + 1
+        k = span.bit_length()
+        r = getrandbits(k)
+        while r >= span:
+            r = getrandbits(k)
+        return lo + r
+
     n_min, n_max = n_range
-    n = rng.randint(n_min, n_max)
+    n = randint(n_min, n_max)
     while True:
-        weights = [rng.randint(1, POWER_SCALE) for _ in range(n)]
+        weights = [randint(1, POWER_SCALE) for _ in range(n)]
         total = sum(weights)
         # t = t20/20 in [1/2, 3/4]; every power w/total must stay below it
-        t20 = 10 + rng.randint(0, 5)
+        t20 = 10 + randint(0, 5)
         if 20 * max(weights) < t20 * total:
             break
 
-    r_h = [rng.randint(1, REWARD_SCALE) for _ in range(n)]
+    r_h = [randint(1, REWARD_SCALE) for _ in range(n)]
     d_sign = 1 if mutation == MUTATION_DEVIANT_REWARD_ABOVE_HONEST else -1
-    r_d = [r_h[i] + d_sign * rng.randint(1, REWARD_SCALE) for i in range(n)]
+    r_d = [r_h[i] + d_sign * randint(1, REWARD_SCALE) for i in range(n)]
     m_sign = -1 if mutation == MUTATION_MALICIOUS_REWARD_BELOW_HONEST else 1
-    r_m = [r_h[i] + m_sign * rng.randint(1, REWARD_SCALE) for i in range(n)]
-    r_dp = [r_m[i] - rng.randint(1, 2 * REWARD_SCALE) for i in range(n)]
+    r_m = [r_h[i] + m_sign * randint(1, REWARD_SCALE) for i in range(n)]
+    r_dp = [r_m[i] - randint(1, 2 * REWARD_SCALE) for i in range(n)]
     return _Draw(
         n=n,
         weights=tuple(20 * w for w in weights),
@@ -488,37 +507,74 @@ def _check_strict_nash(params: GameParams, profile: StrategyProfile, label: str)
     )
 
 
+def _reachable(weights: Sequence[int], hit: int) -> tuple[list[int], list[int]]:
+    """Prefix reachability bitsets: bit W of `every[b]` is set iff some subset
+    of nodes 0..b-1 weighs W, and of `hitting[b]` iff some such subset with a
+    node of the bitmask `hit` does."""
+    every, hitting = [1], [0]
+    for node, w in enumerate(weights):
+        reach, hits = every[-1], hitting[-1]
+        hitting.append(hits | (reach if hit >> node & 1 else hits) << w)
+        every.append(reach | reach << w)
+    return every, hitting
+
+
+def _weighs_within(bits: int, lo: int, hi: int) -> bool:
+    """Does the bitset `bits` hold a weight in lo..hi?"""
+    return hi >= 0 and (bits & ((2 << hi) - 1)) >> max(lo, 0) != 0
+
+
+def _lowest_mask(weights: Sequence[int], hit: int, lo: int, hi: int) -> int | None:
+    """The lowest bitmask of a subset that has a node of `hit` and weighs lo..hi.
+
+    Decides the bits from the top down, leaving a node out whenever the
+    nodes below it can still complete such a subset.
+    """
+    every, hitting = _reachable(weights, hit)
+    if not _weighs_within(hitting[-1], lo, hi):
+        return None
+    mask = weight = 0
+    for node in reversed(range(len(weights))):
+        rest = every[node] if mask & hit else hitting[node]
+        if not _weighs_within(rest, lo - weight, hi - weight):
+            mask |= 1 << node
+            weight += weights[node]
+    return mask
+
+
 def _check_t3(params: GameParams) -> str | None:
-    """The first deviating subset with a member earning below its honest reward.
+    """The first deviating subset, in increasing bitmask order, with a member
+    earning below its honest reward.
+
+    The committed side's rewards are constant on each region of its weight
+    W (`_payoff_rule`): W <= t_weight and W > t_weight. So the rule is called
+    once per region, and that region fails iff some subset weighing within
+    it has a node earning below r_h there. The lowest such subset is rebuilt
+    from prefix reachability only when one exists; the subsets' honest side
+    is their complement.
 
     That all-honest is not strict in the collusion game needs no check of
-    its own: a passing scan has found each lone committer (a singleton
+    its own: a passing check has found each lone committer (a singleton
     mask) earning at least its honest reward, so that deviation breaks even.
     """
-    n = params.n
-    full = (1 << n) - 1
     r_h = params.reward_honest
-    # the honest side of a deviating subset is its complement
-    subset_weight = _subset_weights(params.weights)
-    # bitmask of the nodes that earn below r_h, once per reward tuple the
-    # rule returns (keyed by identity; the tuple is kept so its id stays unique)
-    below_by_id: dict[int, tuple[tuple[Fraction, ...], int]] = {}
-    for mask in range(1, 1 << n):
-        _, committed = _payoff_rule(
-            params, Variant.COLLUSION, subset_weight[full ^ mask], subset_weight[mask]
-        )
-        entry = below_by_id.get(id(committed))
-        if entry is None:
-            below = sum(1 << i for i in range(n) if committed[i] < r_h[i])
-            entry = below_by_id[id(committed)] = (committed, below)
-        losers = mask & entry[1]
-        if losers:
-            i = (losers & -losers).bit_length() - 1
-            return (
-                f"deviating subset {mask:#x}: node {i} earns {format_rational(committed[i])} < "
-                f"honest reward {format_rational(r_h[i])}"
-            )
-    return None
+    total = sum(params.weights)
+    t = params.t_weight
+    first = None
+    for lo, hi in ((0, t), (t + 1, total)):
+        _, committed = _payoff_rule(params, Variant.COLLUSION, total - lo, lo)
+        below = sum(1 << i for i in range(params.n) if committed[i] < r_h[i])
+        mask = _lowest_mask(params.weights, below, lo, hi) if below else None
+        if mask is not None and (first is None or mask < first[0]):
+            first = (mask, mask & below, committed)
+    if first is None:
+        return None
+    mask, losers, committed = first
+    i = (losers & -losers).bit_length() - 1
+    return (
+        f"deviating subset {mask:#x}: node {i} earns {format_rational(committed[i])} < "
+        f"honest reward {format_rational(r_h[i])}"
+    )
 
 
 def _check_t2(params: GameParams) -> str | None:
@@ -559,10 +615,11 @@ def verify_theorem(
 
     T1 checks all-honest strictness in the no-collusion game; T2 checks
     that a deposit one above the deposit bound deters and that an attained
-    bound does not (the bound is exclusive); T3 scans all 2^n - 1 deviating
-    subsets in the collusion game (so all-honest is not strict there);
-    T4 checks all-commit strictness. The report is a pure function
-    of (theorem, generator_seed, instances, n_range, mutation): each
+    bound does not (the bound is exclusive); T3 checks that no deviating
+    subset in the collusion game has a member earning below its honest
+    reward, one weight region of the subset at a time (so all-honest is not
+    strict there); T4 checks all-commit strictness. The report is a pure
+    function of (theorem, generator_seed, instances, n_range, mutation): each
     instance draws from its own stream derived from the seed and the
     instance index. Instances are checked as integer draws; only the
     reported failure is converted to a `GameParams`.

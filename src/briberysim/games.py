@@ -272,6 +272,11 @@ def _payoff_rule(
     at full power, so everyone earns r_h. Without collusion the honest
     protocol executes iff v_h > t; if neither side clears t the system
     stalls and pays everyone 0.
+
+    The split is read only through `> t_weight` tests, so both returned
+    tuples are constant on each weight region. In the collusion game there
+    are two, w_opposing <= t_weight and w_opposing > t_weight, and
+    `_check_t3` calls the rule once for each.
     """
     t = params.t_weight
     if w_opposing > t:

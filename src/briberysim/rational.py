@@ -21,19 +21,37 @@ def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+# a JSON number's decimal exponent has at most this many digits: Fraction
+# builds the whole integer 10**exponent, so 1e1000000 alone takes a third of
+# a second and each further digit about thirty times longer
+_MAX_EXPONENT_DIGITS = 3
+
+
+def _decimal(text: str) -> Fraction:
+    """A JSON number with a fraction or an exponent, exactly."""
+    exponent = text.lower().partition("e")[2]
+    if len(exponent.lstrip("+-").lstrip("0")) > _MAX_EXPONENT_DIGITS:
+        shown = text if len(text) <= 20 else text[:20] + "..."
+        bound = 10**_MAX_EXPONENT_DIGITS - 1
+        raise ValueError(f"number {shown} has a decimal exponent outside -{bound}..{bound}")
+    return Fraction(text)
+
+
 # built once: `json.loads(text, **kwargs)` would build a decoder per call;
 # parse_float receives the raw text, so 0.55 becomes exactly 11/20
-_DECODER = json.JSONDecoder(parse_float=Fraction, object_pairs_hook=_reject_repeated_keys)
+_DECODER = json.JSONDecoder(parse_float=_decimal, object_pairs_hook=_reject_repeated_keys)
 
 
 def decode_json(data: str | bytes) -> object:
     """Decode one JSON document (UTF-8 if bytes): a JSON number like 0.55 is an
-    exact Fraction, a repeated key an error; every error starts `invalid JSON`."""
+    exact Fraction, a repeated key or an exponent outside -999..999 an error;
+    every error starts `invalid JSON`."""
     try:
         return _DECODER.decode(data if isinstance(data, str) else data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON at line {exc.lineno}: {exc.msg} (column {exc.colno})") from None
-    except (ValueError, RecursionError) as exc:  # not UTF-8, a repeated key, or nested too deeply
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, a repeated key, a huge exponent, or nested too deeply
         raise ValueError(f"invalid JSON: {exc}") from None
 
 
@@ -59,7 +77,10 @@ def parse_rational(value: object, field: str = "value") -> Fraction:
 
 
 def parse_int(value: object, field: str, minimum: int | None = None) -> int:
-    """Parse a JSON integer, optionally bounded below; booleans are rejected."""
+    """Parse a JSON integer, optionally bounded below; booleans are rejected,
+    and so is a number written with a fraction or an exponent, even 1e2."""
+    if isinstance(value, Fraction):
+        raise ValueError(f"{field}: expected an integer, got {value}, not written as an integer")
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{field}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:

@@ -2,7 +2,8 @@
 
 A uniform-reward params builder, randomized contract sessions and the
 phases their event history implies, a Fraction power split, a per-profile
-dominance scan, a counter model of the fork race and exact binomial
+dominance scan, the ordered T3 subset scan, the instance draw through
+`random.randint`, a counter model of the fork race and exact binomial
 acceptance ranges: each oracle is written as directly as the model reads,
 so that the optimized code can be checked against it.
 """
@@ -33,9 +34,19 @@ from briberysim import (
     contract_commit,
     contract_distribute,
     contract_init,
+    payoff_vector,
     utility,
 )
-from briberysim.equilibrium import NodeDominance
+from briberysim.equilibrium import (
+    MUTATION_DEVIANT_REWARD_ABOVE_HONEST,
+    MUTATION_MALICIOUS_REWARD_BELOW_HONEST,
+    MUTATIONS,
+    POWER_SCALE,
+    REWARD_SCALE,
+    NodeDominance,
+    _Draw,
+)
+from briberysim.rational import format_rational
 
 
 def uniform_params(powers, threshold_t, r_h, r_d, r_m, r_dp) -> GameParams:
@@ -245,6 +256,55 @@ def dominance_by_profiles(params: GameParams) -> DominanceReport:
         weakly_dominates=all(d.never_worse and d.strictly_better_somewhere for d in per_node),
         per_node=tuple(per_node),
         opponent_profiles_checked=opponents_per_node,
+    )
+
+
+def t3_by_subsets(params: GameParams) -> str | None:
+    """T3's verdict by the ordered scan: every deviating subset in increasing
+    bitmask order, as an explicit collusion profile, until a member earns
+    below its honest reward; the text names the subset and its lowest loser."""
+    n = params.n
+    r_h = params.reward_honest
+    for mask in range(1, 1 << n):
+        choices = tuple(Strategy.COMMIT if mask >> i & 1 else Strategy.HONEST for i in range(n))
+        payoffs = payoff_vector(params, StrategyProfile(choices, Variant.COLLUSION))
+        for i in range(n):
+            if mask >> i & 1 and payoffs[i] < r_h[i]:
+                return (
+                    f"deviating subset {mask:#x}: node {i} earns {format_rational(payoffs[i])} < "
+                    f"honest reward {format_rational(r_h[i])}"
+                )
+    return None
+
+
+def draw_by_randint(rng: random.Random, n_range: tuple[int, int], mutation: str | None) -> _Draw:
+    """The random instance drawn through `rng.randint`, call for call as
+    `equilibrium._draw` documents it."""
+    if mutation is not None and mutation not in MUTATIONS:
+        raise ValueError(f"unknown mutation {mutation!r}; known: {MUTATIONS}")
+    n_min, n_max = n_range
+    n = rng.randint(n_min, n_max)
+    while True:
+        weights = [rng.randint(1, POWER_SCALE) for _ in range(n)]
+        total = sum(weights)
+        t20 = 10 + rng.randint(0, 5)
+        if 20 * max(weights) < t20 * total:
+            break
+
+    r_h = [rng.randint(1, REWARD_SCALE) for _ in range(n)]
+    d_sign = 1 if mutation == MUTATION_DEVIANT_REWARD_ABOVE_HONEST else -1
+    r_d = [r_h[i] + d_sign * rng.randint(1, REWARD_SCALE) for i in range(n)]
+    m_sign = -1 if mutation == MUTATION_MALICIOUS_REWARD_BELOW_HONEST else 1
+    r_m = [r_h[i] + m_sign * rng.randint(1, REWARD_SCALE) for i in range(n)]
+    r_dp = [r_m[i] - rng.randint(1, 2 * REWARD_SCALE) for i in range(n)]
+    return _Draw(
+        n=n,
+        weights=tuple(20 * w for w in weights),
+        t_weight=t20 * total,
+        reward_honest=tuple(r_h),
+        reward_deviant_vs_honest=tuple(r_d),
+        reward_malicious=tuple(r_m),
+        reward_deviant_vs_malicious=tuple(r_dp),
     )
 
 

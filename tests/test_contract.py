@@ -457,6 +457,29 @@ class TestEventLogReplay:
         message = "event log line 1: invalid JSON: duplicate key 'threshold_t'"
         assert capsys.readouterr().err == f"error: tasks[0] (contract_trace): events.jsonl: {message}\n"
 
+    @pytest.mark.parametrize(
+        "line_no, old, new, message",
+        [
+            (2, '"deposit": "9"', '"deposit": 1e1000000',
+             "invalid JSON: number 1e1000000 has a decimal exponent outside -999..999"),
+            (1, '"expiration_time": 100', '"expiration_time": 1e2',
+             "expiration_time: expected an integer, got 100, not written as an integer"),
+            (2, '"node": 0', '"node": 0.5',
+             "node: expected an integer, got 1/2, not written as an integer"),
+        ],
+        ids=["huge-exponent", "integer-as-exponent", "integer-as-decimal"],
+    )
+    def test_number_error_texts_pinned(self, tmp_path, capsys, line_no, old, new, message):
+        fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
+        lines = fixture.read_text(encoding="utf-8").splitlines()
+        assert lines[line_no - 1].count(old) == 1
+        lines[line_no - 1] = lines[line_no - 1].replace(old, new)
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["contract-trace", str(events)]) == 2
+        message = f"event log line {line_no}: {message}"
+        assert capsys.readouterr().err == f"error: tasks[0] (contract_trace): events.jsonl: {message}\n"
+
     def test_decimal_deposit_is_exact(self):
         fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
         lines = fixture.read_text(encoding="utf-8").splitlines()

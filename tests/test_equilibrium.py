@@ -38,10 +38,11 @@ from briberysim.equilibrium import (
     _check_t3,
     deposit_bound_attained,
 )
-from briberysim.games import params_to_json_dict
+from briberysim.games import PowerDistribution, params_to_json_dict
 from briberysim.rational import format_rational
 from briberysim.scenario import TaskResult, table_csv
-from helpers import dominance_by_profiles, uniform_params
+from briberysim.seeding import derive_seed
+from helpers import dominance_by_profiles, draw_by_randint, t3_by_subsets, uniform_params
 
 H, C, M = Strategy.HONEST, Strategy.COMMIT, Strategy.MALICIOUS
 
@@ -54,6 +55,23 @@ THEOREM_DIGEST = "61bc61d95cee595e9c4b2f8e95254066a02422f0daa0a7a4282ab9704bbd89
 # mutation)) over seeds 0-59 x {no mutation, both MUTATIONS}: pins the
 # Fractions every drawn instance converts to
 DRAWN_PARAMS_DIGEST = "d9f0ec09d47621371655d3aca9b2a9fc8d03aa99f0d6cea77636101228f9359e"
+
+
+# sha256 of the verify_theorem payloads over T3-T4 x seeds 0-299 x
+# malicious_reward_below_honest, 60 instances each: pins the failure texts of
+# the two claims that mutation breaks
+BELOW_HONEST_DIGEST = "b21ebf8ba26cfb8d711d5202ace813dae97dd42191b411bc912375d2278f2819"
+
+
+def below_honest_digest() -> str:
+    digest = hashlib.sha256()
+    for theorem in ("T3", "T4"):
+        for seed in range(300):
+            report = verify_theorem(
+                theorem, seed, 60, (3, 8), mutation=MUTATION_MALICIOUS_REWARD_BELOW_HONEST
+            )
+            digest.update(json.dumps(report.to_payload(), sort_keys=True).encode())
+    return digest.hexdigest()
 
 
 def theorem_digest() -> str:
@@ -425,3 +443,94 @@ class TestSubsetScanAgainstDirectUtilities:
         rng = random.Random(17)
         for _ in range(200):
             assert validate_params(random_game_params(rng)) == []
+
+
+def mixed_params(powers, t, r_h, r_m) -> GameParams:
+    """Params with per-node honest and malicious rewards; r_d = r_h - 1, r_dp = r_m - 1."""
+    return GameParams(
+        powers=PowerDistribution(tuple(Fraction(p) for p in powers)),
+        threshold_t=Fraction(t),
+        reward_honest=tuple(map(Fraction, r_h)),
+        reward_deviant_vs_honest=tuple(Fraction(r) - 1 for r in r_h),
+        reward_malicious=tuple(map(Fraction, r_m)),
+        reward_deviant_vs_malicious=tuple(Fraction(r) - 1 for r in r_m),
+    )
+
+
+class TestT3OverWeightRegions:
+    def test_below_honest_digest_pinned(self):
+        assert below_honest_digest() == BELOW_HONEST_DIGEST
+
+    def test_matches_ordered_scan_on_random_draws(self):
+        failures = {}
+        for mutation in (None, *equilibrium.MUTATIONS):
+            failures[mutation] = 0
+            for seed in range(120):
+                draw = equilibrium._draw(random.Random(f"t3-{mutation}-{seed}"), (3, 8), mutation)
+                params = equilibrium._game_params(draw)
+                expected = t3_by_subsets(params)
+                assert _check_t3(draw) == expected == _check_t3(params), (mutation, seed)
+                failures[mutation] += expected is not None
+        # T3 holds on valid draws and fails on every draw with r_m below r_h
+        assert failures == {None: 0, MUTATION_DEVIANT_REWARD_ABOVE_HONEST: 0,
+                            MUTATION_MALICIOUS_REWARD_BELOW_HONEST: 120}
+
+    def test_matches_ordered_scan_with_some_losers_and_ties_at_t(self):
+        # r_m below r_h at a random subset of nodes, and t exactly the weight
+        # of some subset, so the lowest failing mask must avoid non-losing
+        # subsets and subsets landing exactly on t
+        rng = random.Random(2024)
+        sizes = set()
+        for _ in range(400):
+            n = rng.randint(3, 8)
+            weights = [rng.randint(1, 6) for _ in range(n)]
+            total = sum(weights)
+            sums = {sum(w for i, w in enumerate(weights) if m >> i & 1) for m in range(1 << n)}
+            t = rng.choice(sorted(w for w in sums if total / 2 <= w < total) or [total - 1])
+            r_h = [rng.randint(1, 5) for _ in range(n)]
+            r_m = [r + rng.choice((-2, -1, 1, 2)) for r in r_h]
+            powers = [Fraction(w, total) for w in weights]
+            params = mixed_params(powers, Fraction(t, total), r_h, r_m)
+            expected = t3_by_subsets(params)
+            assert _check_t3(params) == expected, (weights, t, r_h, r_m)
+            if expected is not None:
+                sizes.add(bin(int(expected.split()[2][:-1], 16)).count("1"))
+        # failures come from subsets of several sizes; t is at least half the
+        # total weight and a subset's weight, so no lone node exceeds it
+        assert len(sizes) >= 3 and 1 not in sizes
+
+    @pytest.mark.parametrize(
+        "powers, t, r_m, expected",
+        [
+            # only node 2 loses; {0, 2} is the lowest subset with it above t
+            (("2/5", "7/20", "1/4"), "1/2", (5, 5, 1),
+             "deviating subset 0x5: node 2 earns 1 < honest reward 2"),
+            # {0, 1} holds exactly t = 3/4, so only all three exceed it
+            (("2/5", "7/20", "1/4"), "3/4", (1, 5, 5),
+             "deviating subset 0x7: node 0 earns 1 < honest reward 2"),
+            # {0, 1, 2} (0x7) exceeds t but nobody in it loses, {0, 3} lands
+            # exactly on t, so the first failure is {1, 3}
+            (("1/10", "1/5", "3/10", "2/5"), "1/2", (5, 5, 5, 1),
+             "deviating subset 0xa: node 3 earns 1 < honest reward 2"),
+            # every node loses: the lowest subset above t, reported at its lowest node
+            (("1/10", "1/5", "3/10", "2/5"), "1/2", (1, 1, 1, 1),
+             "deviating subset 0x7: node 0 earns 1 < honest reward 2"),
+        ],
+    )
+    def test_lowest_failing_subset_is_not_a_singleton(self, powers, t, r_m, expected):
+        params = mixed_params(powers, t, (2,) * len(powers), r_m)
+        assert _check_t3(params) == expected == t3_by_subsets(params)
+
+
+class TestDrawMatchesRandint:
+    @pytest.mark.parametrize("mutation", [None, *equilibrium.MUTATIONS])
+    @pytest.mark.parametrize("n_range", [(3, 8), (3, 3), (4, 7), (5, 8), (8, 8), (3, 6)])
+    def test_same_instances_and_same_stream(self, mutation, n_range):
+        # (3, 3) draws n from a span of 1, (4, 7) and (5, 8) from a span of
+        # 4: both still consume random bits, as random.randint does
+        seeds = [*range(60), *(derive_seed(7, "instance", i) for i in range(60))]
+        for seed in seeds:
+            fast, oracle = random.Random(seed), random.Random(seed)
+            drawn = equilibrium._draw(fast, n_range, mutation)
+            assert drawn == draw_by_randint(oracle, n_range, mutation)
+            assert fast.random() == oracle.random()

@@ -15,6 +15,7 @@ import pytest
 import briberysim.scenario as scenario_module
 from briberysim import ScenarioError, load_scenario, run_scenario
 from briberysim.cli import main
+from briberysim.rational import decode_json
 from briberysim.scenario import TABLE_ARTIFACT_KINDS, TASK_KINDS, TASK_OPTIONS, report_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -304,6 +305,41 @@ class TestLoadScenario:
         file = write_scenario(tmp_path, params=dict(P3_PARAMS, t=0.55))
         scenario = load_scenario(file)
         assert scenario.params.threshold_t == Fraction(11, 20)
+
+    def test_exponents_within_bound_parse_exactly(self, tmp_path):
+        assert decode_json("[1e999, 1E-999, 1e+0999, 25e-0000001]") == [
+            10**999, Fraction(1, 10**999), 10**999, Fraction(5, 2)
+        ]
+        file = write_scenario(tmp_path, params=dict(P3_PARAMS, t="T"))
+        text = file.read_text(encoding="utf-8")
+        file.write_text(text.replace('"T"', "5000e-0004"), encoding="utf-8")
+        assert load_scenario(file).params.threshold_t == Fraction(1, 2)
+
+    @pytest.mark.parametrize(
+        "number, shown",
+        [
+            ("1e1000000", "1e1000000"),
+            ("5E-1000", "5E-1000"),
+            ("1e" + "9" * 30, "1e" + "9" * 18 + "..."),
+        ],
+        ids=["e1000000", "e-1000", "exponent-of-30-digits"],
+    )
+    def test_huge_exponent_exits_2_naming_the_file(self, tmp_path, capsys, number, shown):
+        # Fraction would build 10**exponent whole: a third of a second for
+        # 1e1000000, and a 30-digit exponent would never finish
+        file = write_scenario(tmp_path, params=dict(P3_PARAMS, t="T"))
+        file.write_text(file.read_text(encoding="utf-8").replace('"T"', number), encoding="utf-8")
+        assert main(["verify", str(file)]) == 2
+        message = f"invalid JSON: number {shown} has a decimal exponent outside -999..999"
+        assert capsys.readouterr().err == f"error: scenario {file}: {message}\n"
+
+    @pytest.mark.parametrize("number, shown", [("1.5", "3/2"), ("1e3", "1000")], ids=["1.5", "1e3"])
+    def test_integer_option_written_as_decimal_text_pinned(self, tmp_path, capsys, number, shown):
+        file = write_scenario(tmp_path, tasks=[{"kind": "verify_t1", "instances": "N"}])
+        file.write_text(file.read_text(encoding="utf-8").replace('"N"', number), encoding="utf-8")
+        assert main(["verify", str(file)]) == 2
+        message = f"'instances': expected an integer, got {shown}, not written as an integer"
+        assert capsys.readouterr().err == f"error: tasks[0] (verify_t1): {message}\n"
 
 
 class TestRunScenario:
