@@ -34,16 +34,34 @@ Two consensus flavors:
   least k + 1 blocks, endorsed over at least k + 1 post-confirmation slots.
   When the fork wins, the honest blocks carrying the proofs are reverted with
   the rest, so no proof survives on the final chain.
+
+How a slot's producer is drawn. Each slot is one `random()` of the seeded
+generator: `random()` takes two 32-bit words w0, w1 and returns
+((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53. `getrandbits(64 * m)` draws the
+same 2m words in the same order and stores the first in its lowest bits,
+so `getrandbits(64 * m).to_bytes(8 * m, "little")` holds slot j's words at
+bytes 8j to 8j+7 and leaves the generator where m `random()` calls would
+(`tests/stream_layout.py` checks this on each interpreter). Byte 8j+3, the
+top byte of w0, is floor(256 * x) for slot j's draw x, so one translate
+through a 256-entry table maps every slot of a chunk to its producer: entry
+b names the node owning all of [b/256, (b+1)/256). Where a boundary falls
+strictly inside that interval, or the node is 255 or above, the entry is
+unresolved, and the slot's producer comes from its exact float as above and
+`bisect_right`, the very computation a `random()` per slot makes. Either
+way every slot gets the producer that one `random()` per slot would give.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, chain, count, repeat
+from operator import indexOf, sub
+from struct import unpack_from
 from typing import Iterable
 
 from .games import NodeId, PowerDistribution
@@ -134,6 +152,45 @@ def catch_up_probability(minion_share: Fraction, deficit: int) -> Fraction:
     return ratio**deficit
 
 
+# a slot's producer is read from the top byte of its first generator word: the
+# bucket table maps each byte to its producer, or to UNRESOLVED where a power
+# boundary falls inside the byte's 1/256 of [0, 1) or the producer is >= 255
+UNRESOLVED = 255
+FORK = 2  # a minion slot's flag (0 otherwise): a slot moves the fork's lead by its flag - 1
+MIN_CHUNK = 16  # slots drawn at least per chunk while the fork can still win
+MAX_CHUNK = 4096  # slots drawn at most per chunk, bounding its memory
+
+
+@lru_cache(maxsize=32)
+def _slot_tables(weights: tuple[int, ...], minions: frozenset[NodeId]):
+    """The producer boundaries, the bucket and flag tables (byte -> producer,
+    producer -> FORK for a minion, else 0), each node's minion flag and the
+    minions below UNRESOLVED, of one network and minion set.
+
+    Node i owns [b_{i-1}, b_i) of [0, 1), the boundaries being the
+    cumulative weights over their (normalized) sum: int / int rounds
+    correctly, as float(Fraction) does, and the last boundary is exactly
+    1.0, so `bisect_right(boundaries, x)` names a node for every x in
+    [0, 1). Bucket b, [b/256, (b+1)/256), names one node for all its x
+    unless a boundary lies strictly inside it.
+    """
+    scale = sum(weights)
+    boundaries = [acc / scale for acc in accumulate(weights)]
+    boundaries[-1] = 1.0
+    buckets = bytearray(256)
+    for b in range(256):
+        producer = bisect_right(boundaries, b / 256)
+        inside = bisect_left(boundaries, (b + 1) / 256) != producer
+        buckets[b] = UNRESOLVED if inside or producer >= UNRESOLVED else producer
+    counted_minions = tuple(sorted(i for i in minions if i < UNRESOLVED))
+    flags = bytearray(256)
+    for i in counted_minions:
+        flags[i] = FORK
+    is_minion = tuple(i in minions for i in range(len(weights)))
+    # immutable: every run of this network shares them
+    return tuple(boundaries), bytes(buckets), bytes(flags), is_minion, counted_minions
+
+
 def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun:
     """Run one seeded attack simulation, optionally keeping the per-slot trace
     (one row per slot, a plain tuple in `TRACE_COLUMNS` order).
@@ -144,58 +201,143 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
     whoever produces them. From slot k on each slot extends the fork (a
     minion producer) or the honest chain (anyone else), and only a fork
     block can end the race.
+
+    Slots are drawn in chunks of one `getrandbits` call each (see the module
+    docstring), the first chunk holding the pre-trigger slots too, and read
+    by byte operations: producers by table lookup, fork slots by a second
+    lookup (a pre-trigger slot is never one), counts by `bytes.count`. A
+    chunk is at least as long as the honest chain's lead, so while the lead
+    is that long the fork cannot win inside it and the walk over the fork's
+    running lead, which finds the slot where the fork gets ahead, is skipped.
     """
     rng = random.Random(config.rng_seed)
-    draw = rng.random
+    getrandbits = rng.getrandbits
     n = config.powers.n
-    # cumulative producer boundaries, summed as integers over the common
-    # denominator (int / int rounds correctly, as float(Fraction) does); float
-    # rounding only biases draws by ~1e-16. draw() lies in [0, 1) and the last
-    # boundary is exactly 1.0, so bisect_right(boundaries, draw()) is always
-    # a node index < n
-    boundaries = [acc / config.powers.scale for acc in accumulate(config.powers.weights)]
-    boundaries[-1] = 1.0
-    is_minion = [i in config.minions for i in range(n)]
+    boundaries, buckets, flag_table, is_minion, counted_minions = _slot_tables(
+        config.powers.weights, config.minions
+    )
 
     k = config.confirmations
     horizon = config.horizon_slots
     pos = config.consensus is Consensus.POS_SLASHING
     can_win = not pos or config.powers.exceeds(config.minions, config.threshold_t)
-    # slots 0 to k-1, or fewer if the horizon ends first
-    early = [bisect_right(boundaries, draw()) for _ in range(min(k, horizon))]
-    honest_blocks = [early.count(i) for i in range(n)]  # on the honest chain from genesis
-    fork_blocks = [0] * n  # on the fork; under PoS each is a double-sign
-    honest_height = len(early)
-    fork_height = 0
+    early = min(k, horizon)  # slots 0 to k-1, or fewer if the horizon ends first
+    # producers of the pre-trigger and of the race slots, as bytes below
+    # UNRESOLVED and, in slot order, as ints from UNRESOLVED up
+    early_parts, race_parts, big_early, big_race = [], [], [], []
+    honest_height = fork_height = 0
     # PoS slashing proofs: every fork block made before the latest honest
     # block is in it, since honest producers include all pending proofs
     proofs_included = 0
     success = False
     trace = []
-    if record_trace:
-        trace = [
-            (slot, producer, "canonical", slot + 1,
-             "target" if slot == 0 else "trigger" if slot == k - 1 else "")
-            for slot, producer in enumerate(early)
-        ]
+    slot = 0  # the next chunk's first slot
+    while slot < horizon:
+        pending = early - slot if slot < early else 0  # pre-trigger slots left to draw
+        behind = honest_height + pending - fork_height  # the honest lead once the race runs
+        if can_win:
+            m = pending + (behind if behind > MIN_CHUNK else MIN_CHUNK)
+        else:
+            m = MAX_CHUNK  # the race is only counted
+        m = min(m, MAX_CHUNK, horizon - slot)
+        lo = pending if pending < m else m  # the chunk's pre-trigger slots, then its race slots
+        raw = getrandbits(64 * m).to_bytes(8 * m, "little")
+        producers = raw[3::8].translate(buckets)
+        big = {}  # chunk offset -> producer >= UNRESOLVED
+        j = producers.find(UNRESOLVED)
+        if j >= 0:
+            producers = bytearray(producers)
+            while j >= 0:
+                w0, w1 = unpack_from("<2I", raw, 8 * j)
+                # the float random() makes of the same two words
+                x = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0)
+                producer = bisect_right(boundaries, x)
+                if producer < UNRESOLVED:
+                    producers[j] = producer
+                else:
+                    big[j] = producer
+                j = producers.find(UNRESOLVED, j + 1)
+        race = producers[lo:] if lo else producers
+        flags = race.translate(flag_table)
+        if big:
+            flags = bytearray(flags)
+            for j, producer in big.items():
+                if j >= lo and is_minion[producer]:
+                    flags[j - lo] = FORK
 
-    for slot in range(honest_height, horizon):
-        producer = bisect_right(boundaries, draw())
+        end = m - lo  # race slots of this chunk that count
+        if can_win and end > behind:
+            # the fork's lead gained after each race slot; the sentinel after
+            # the last slot stands for "not in this chunk"
+            lead = map(sub, accumulate(flags), count(1))
+            won = indexOf(chain(lead, (behind + 1,)), behind + 1)
+            if won < end:
+                end = won + 1
+                success = True
+
+        if lo:
+            early_parts.append(producers[:lo])
+        race_parts.append(race[:end])
+        for j, producer in big.items():
+            if j < lo:
+                big_early.append(producer)
+            elif j < lo + end:
+                big_race.append(producer)
+        fork_slots = flags.count(FORK, 0, end)
+        if pos:
+            last_honest = flags.rfind(0, 0, end)
+            if last_honest >= 0:
+                proofs_included = fork_height + flags.count(FORK, 0, last_honest)
+        if record_trace:
+            names = list(producers[: lo + end])
+            for j, producer in big.items():
+                if j < lo + end:
+                    names[j] = producer
+            trace += zip(
+                range(slot, slot + lo), names, repeat("canonical"), count(slot + 1), repeat("")
+            )
+            honest, fork = honest_height + lo, fork_height
+            for row_slot, producer, flag in zip(count(slot + lo), names[lo:], flags[:end]):
+                if flag:
+                    fork += 1
+                    trace.append((row_slot, producer, "fork", fork, ""))
+                else:
+                    honest += 1
+                    trace.append((row_slot, producer, "canonical", honest, ""))
+        honest_height += lo + end - fork_slots
+        fork_height += fork_slots
+        slot += lo + end
+        if success:
+            break
+
+    if record_trace:
+        trace[0] = trace[0][:4] + ("target",)
+        if 1 < k <= horizon:
+            trace[k - 1] = trace[k - 1][:4] + ("trigger",)
+        if success:
+            trace[-1] = trace[-1][:4] + ("success",)
+    # a minion's race blocks are on the fork; every other block is honest
+    race_producers = b"".join(race_parts)
+    fork_blocks = [0] * n
+    for i in counted_minions:
+        fork_blocks[i] = race_producers.count(i)
+    for producer in big_race:
         if is_minion[producer]:
             fork_blocks[producer] += 1
-            fork_height += 1
-            success = can_win and fork_height > honest_height
-            if record_trace:
-                trace.append((slot, producer, "fork", fork_height, "success" if success else ""))
-            if success:
-                break
-        else:
-            honest_blocks[producer] += 1
-            honest_height += 1
-            proofs_included = fork_height
-            if record_trace:
-                trace.append((slot, producer, "canonical", honest_height, ""))
-
+    if success:
+        canonical = fork_blocks
+    else:
+        early_producers = b"".join(early_parts)
+        canonical = [0] * n
+        for i in range(min(n, UNRESOLVED)):
+            canonical[i] = early_producers.count(i)
+            if not is_minion[i]:
+                canonical[i] += race_producers.count(i)
+        for producer in big_early:
+            canonical[producer] += 1
+        for producer in big_race:
+            if not is_minion[producer]:
+                canonical[producer] += 1
     double_signs: dict[NodeId, int] = {}
     censored = 0
     if pos:
@@ -204,10 +346,10 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
         censored = fork_height if success else fork_height - proofs_included
     result = AttackResult(
         success=success,
-        slots_elapsed=slot + 1 if success else horizon,
+        slots_elapsed=slot,
         fork_length=fork_height,
         reverted_blocks=honest_height if success else 0,
-        per_node_blocks_canonical=dict(enumerate(fork_blocks if success else honest_blocks)),
+        per_node_blocks_canonical=dict(enumerate(canonical)),
         consensus=config.consensus,
         slashing_proofs_censored=censored,
         double_signs=double_signs,

@@ -457,8 +457,12 @@ def random_game_params(
     The draw itself is integers (`_draw`), and `verify_theorem` checks it
     as such: it builds Fractions only for the instance it reports as
     failing. This function builds them for its callers, from the same
-    `rng` calls in the same order.
+    `rng` calls in the same order. `n_range` must satisfy 2 <= n_min <=
+    n_max: a lone node holds all the power, so no draw with n = 1 is valid.
     """
+    n_min, n_max = n_range
+    if not 2 <= n_min <= n_max:
+        raise ValueError(f"n_range {n_range} must satisfy 2 <= n_min <= n_max")
     return _game_params(_draw(rng, n_range, mutation))
 
 

@@ -3,19 +3,23 @@
 A uniform-reward params builder, randomized contract sessions and the
 phases their event history implies, a Fraction power split, a per-profile
 dominance scan, the ordered T3 subset scan, the instance draw through
-`random.randint`, a counter model of the fork race and exact binomial
-acceptance ranges: each oracle is written as directly as the model reads,
-so that the optimized code can be checked against it.
+`random.randint`, the fork race one `random()` per slot, a counter model
+of the fork race and exact binomial acceptance ranges: each oracle is
+written as directly as the model reads, so that the optimized code can be
+checked against it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from briberysim import (
+    AttackResult,
     Consensus,
     ContractConfig,
     ContractState,
@@ -37,6 +41,7 @@ from briberysim import (
     payoff_vector,
     utility,
 )
+from briberysim.chainsim import SimRun
 from briberysim.equilibrium import (
     MUTATION_DEVIANT_REWARD_ABOVE_HONEST,
     MUTATION_MALICIOUS_REWARD_BELOW_HONEST,
@@ -306,6 +311,78 @@ def draw_by_randint(rng: random.Random, n_range: tuple[int, int], mutation: str 
         reward_malicious=tuple(r_m),
         reward_deviant_vs_malicious=tuple(r_dp),
     )
+
+
+def race_by_slots(config: SimConfig, record_trace: bool = False) -> SimRun:
+    """The fork race slot by slot: one `random()` and one `bisect_right` per
+    slot, every counter and trace row updated as the slot is drawn.
+
+    Slots 0 to k-1 extend the honest chain whoever produces them (the
+    payment's k-th confirmation falls in slot k-1); from slot k on a minion
+    slot extends the fork and any other the honest chain, and the fork wins
+    once strictly longer (under deposit-slashing only if the minions hold
+    more than t). Under deposit-slashing every fork block is a double-sign,
+    and its proof is included by the next honest block.
+    """
+    rng = random.Random(config.rng_seed)
+    draw = rng.random
+    n = config.powers.n
+    boundaries = [acc / config.powers.scale for acc in accumulate(config.powers.weights)]
+    boundaries[-1] = 1.0
+    is_minion = [i in config.minions for i in range(n)]
+
+    k = config.confirmations
+    horizon = config.horizon_slots
+    pos = config.consensus is Consensus.POS_SLASHING
+    can_win = not pos or config.powers.exceeds(config.minions, config.threshold_t)
+    early = [bisect_right(boundaries, draw()) for _ in range(min(k, horizon))]
+    honest_blocks = [early.count(i) for i in range(n)]
+    fork_blocks = [0] * n
+    honest_height = len(early)
+    fork_height = 0
+    proofs_included = 0
+    success = False
+    trace = []
+    if record_trace:
+        trace = [
+            (slot, producer, "canonical", slot + 1,
+             "target" if slot == 0 else "trigger" if slot == k - 1 else "")
+            for slot, producer in enumerate(early)
+        ]
+
+    for slot in range(honest_height, horizon):
+        producer = bisect_right(boundaries, draw())
+        if is_minion[producer]:
+            fork_blocks[producer] += 1
+            fork_height += 1
+            success = can_win and fork_height > honest_height
+            if record_trace:
+                trace.append((slot, producer, "fork", fork_height, "success" if success else ""))
+            if success:
+                break
+        else:
+            honest_blocks[producer] += 1
+            honest_height += 1
+            proofs_included = fork_height
+            if record_trace:
+                trace.append((slot, producer, "canonical", honest_height, ""))
+
+    double_signs: dict[int, int] = {}
+    censored = 0
+    if pos:
+        double_signs = {i: c for i, c in enumerate(fork_blocks) if c}
+        censored = fork_height if success else fork_height - proofs_included
+    result = AttackResult(
+        success=success,
+        slots_elapsed=slot + 1 if success else horizon,
+        fork_length=fork_height,
+        reverted_blocks=honest_height if success else 0,
+        per_node_blocks_canonical=dict(enumerate(fork_blocks if success else honest_blocks)),
+        consensus=config.consensus,
+        slashing_proofs_censored=censored,
+        double_signs=double_signs,
+    )
+    return SimRun(result=result, trace=tuple(trace))
 
 
 def race_by_counters(config: SimConfig) -> tuple[bool, int, int, int]:

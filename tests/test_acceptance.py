@@ -7,6 +7,7 @@ Everything is seeded, so these results are reproducible bit for bit.
 
 import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -46,6 +47,14 @@ P3_ARTIFACT_SHA256 = {
     "contract_trace_6.csv": "916934ba9a4f482242eb268a5c22d7aa40003e0499f931d5899a004a621e9123",
     "report.json": "48fa9dd37fc04b3d69e6fd2651afde6aa7554cddbcac692357a5c80ead232aca",
     "sweep_8.csv": "4434364e5e17df4faa10bdd36c8ebbd37069c818d52eef8e4266790b3d8ac23a",
+}
+
+# sha256 of each file `briberysim verify scenarios/long_race.json --out` writes:
+# a traced minority race that runs out its 4,000-slot horizon and a PoS sweep
+LONG_RACE_ARTIFACT_SHA256 = {
+    "chain_trace_0.csv": "29baf7d01386b73f5242b6ac967a7405e1b57bb38f231737ff7e6ea9f95588f2",
+    "report.json": "51a30596c83960a8d5326e8e3cc41928450653a1b8edb01fdf138c74223d491f",
+    "sweep_1.csv": "6a23b79584f656720a917e6e60da96f648e94f5294d2bbcae0efe2b924bc1dac",
 }
 
 
@@ -276,3 +285,14 @@ def test_c10_full_scenario_suite_reproducible(tmp_path):
         elapsed,
         f"{len(first)} artifacts compared",
     )
+
+
+def test_long_race_scenario_bytes_pinned(tmp_path):
+    scenario = load_scenario(REPO_ROOT / "scenarios" / "long_race.json")
+    run_scenario(scenario, output_dir=tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert digests == LONG_RACE_ARTIFACT_SHA256
+    chain_sim = json.loads((tmp_path / "report.json").read_text())["tasks"][0]["result"]
+    # the first run is a lost race over the whole horizon
+    assert chain_sim["first_run"]["success"] is False
+    assert chain_sim["first_run"]["slots_elapsed"] == scenario.sim.horizon_slots == 4000

@@ -16,9 +16,11 @@ from briberysim import (
     run_attack,
     run_attack_detailed,
 )
+from briberysim import chainsim
 from briberysim.chainsim import sim_config_from_payload
 from briberysim.seeding import derive_seed
-from helpers import binomial_acceptance_range, race_by_counters
+from helpers import binomial_acceptance_range, race_by_counters, race_by_slots
+from stream_layout import layout_mismatches
 
 P3_POWERS = PowerDistribution(("2/5", "7/20", "1/4"))
 
@@ -262,6 +264,109 @@ class TestRaceAgainstCounterModel:
         } <= cases
         assert not any(c[2] == "at most t" and c[4] for c in cases)
         assert any(c[3] for c in cases) and not any(c[3] and c[4] for c in cases)
+
+
+class TestChunkedKernelAgainstSlotOracle:
+    """The chunked race against `race_by_slots`, one `random()` per slot."""
+
+    @staticmethod
+    def assert_same_run(config, record_trace):
+        run = run_attack_detailed(config, record_trace)
+        oracle = race_by_slots(config, record_trace)
+        assert run.result.to_payload() == oracle.result.to_payload(), config
+        assert run.trace == oracle.trace, config
+        return run
+
+    def test_random_configs_match_the_oracle(self, monkeypatch):
+        # networks of 1 to 300 nodes (producers >= 255 leave the byte table),
+        # horizons up to 10,000 slots, PoW and PoS, traced and untraced
+        exact_floats = []
+        unpack = chainsim.unpack_from
+        monkeypatch.setattr(
+            chainsim, "unpack_from", lambda *args: exact_floats.append(1) or unpack(*args)
+        )
+        rng = random.Random(16)
+        cases = set()
+        for index in range(160):
+            n = rng.choice([1, 2, 3, 5, 12, 254, 256, 300])
+            weights = [rng.randint(1, rng.choice([4, 1000])) for _ in range(n)]
+            powers = PowerDistribution(tuple(Fraction(w, sum(weights)) for w in weights))
+            share = rng.random()
+            minions = frozenset(i for i in range(n) if rng.random() < share)
+            k = rng.randint(1, 8)
+            horizon = rng.choice([1, k, k + 1, 60, 700, 3000, 10_000])
+            config = SimConfig(
+                powers=powers,
+                minions=minions,
+                consensus=rng.choice(list(Consensus)),
+                confirmations=k,
+                horizon_slots=horizon,
+                rng_seed=derive_seed(0, "race-oracle", index),
+                threshold_t=Fraction(rng.randint(1, 9), 10),
+            )
+            before = len(exact_floats)
+            run = self.assert_same_run(config, record_trace=index % 2 == 0)
+            cases.add(
+                (
+                    config.consensus,
+                    run.result.success,
+                    run.result.slots_elapsed > 2 * chainsim.MAX_CHUNK,
+                    len(exact_floats) > before,
+                    any(producer >= chainsim.UNRESOLVED for _, producer, *_ in run.trace),
+                )
+            )
+        # won and lost races of both kinds, races past several maximal chunks,
+        # the exact-float path taken, and traced producers past the byte table
+        for consensus in Consensus:
+            assert {c[1] for c in cases if c[0] is consensus} == {True, False}
+        assert any(c[2] for c in cases)
+        assert any(c[3] for c in cases) and any(not c[3] for c in cases)
+        assert any(c[4] for c in cases)
+
+    @pytest.mark.parametrize(
+        "powers, on_edge",
+        [
+            # p3: 2/5 falls inside bucket 102, 3/4 = 192/256 is a bucket edge
+            (("2/5", "7/20", "1/4"), False),
+            # every boundary a bucket edge: no slot needs its exact float
+            (("1/4", "1/2", "1/4"), True),
+        ],
+        ids=["p3", "edges"],
+    )
+    def test_bucket_boundaries_match_the_oracle(self, monkeypatch, powers, on_edge):
+        exact_floats = []
+        unpack = chainsim.unpack_from
+        monkeypatch.setattr(
+            chainsim, "unpack_from", lambda *args: exact_floats.append(1) or unpack(*args)
+        )
+        powers = PowerDistribution(powers)
+        for index, (minions, consensus) in enumerate(
+            itertools.product(([2], [0, 1], [1], [0, 1, 2]), Consensus)
+        ):
+            for seed in range(6):
+                config = make_config(
+                    minions, consensus, confirmations=1 + seed, horizon=4000,
+                    seed=100 * index + seed, powers=powers,
+                )
+                self.assert_same_run(config, record_trace=seed % 2 == 0)
+        assert (exact_floats == []) == on_edge
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_boundary_one_ulp_from_the_draw(self, ulps):
+        # a two-node boundary at, just below or just above slot 0's float:
+        # only the exact float of random() names the producer that bisect does
+        for seed in range(20):
+            x = random.Random(seed).random()
+            boundary = Fraction(int(x * 2**53) + ulps, 2**53)
+            config = make_config(
+                [1], confirmations=1, horizon=1, seed=seed,
+                powers=PowerDistribution((boundary, 1 - boundary)),
+            )
+            run = self.assert_same_run(config, record_trace=True)
+            assert run.trace[0][1] == (0 if x < boundary else 1)
+
+    def test_generator_layout_the_kernel_reads(self):
+        assert layout_mismatches(range(40)) == []
 
 
 class TestCatchUpOracle:

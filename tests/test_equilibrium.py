@@ -399,6 +399,24 @@ class TestIntegerDraws:
         # the comparison covers failure texts, not only passes
         assert failures["T1"] and failures["T3"] and failures["T4"]
 
+    @pytest.mark.parametrize("n_range", [(1, 1), (0, 0), (3, 2)])
+    def test_invalid_n_range_rejected_by_name(self, n_range):
+        # (1, 1) used to spin forever (a lone node always reaches t) and
+        # (0, 0) to fail inside max()
+        message = f"n_range {n_range} must satisfy 2 <= n_min <= n_max"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            random_game_params(random.Random(0), n_range)
+
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_smallest_and_largest_drawn_networks_are_valid(self, n):
+        from briberysim import validate_params
+
+        rng = random.Random(3)
+        for _ in range(20):
+            params = random_game_params(rng, (n, n))
+            assert params.n == n
+            assert validate_params(params) == []
+
     def test_game_params_built_only_for_the_reported_failure(self, monkeypatch):
         built = []
         post_init = GameParams.__post_init__
