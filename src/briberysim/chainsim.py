@@ -275,7 +275,7 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
                 end = won + 1
                 success = True
 
-        if lo:
+        if lo and not success:  # a won race reverts the pre-trigger blocks
             early_parts.append(producers[:lo])
         race_parts.append(race[:end])
         for j, producer in big.items():
@@ -284,7 +284,7 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
             elif j < lo + end:
                 big_race.append(producer)
         fork_slots = flags.count(FORK, 0, end)
-        if pos:
+        if pos and not success:  # a won race reverts every proof
             last_honest = flags.rfind(0, 0, end)
             if last_honest >= 0:
                 proofs_included = fork_height + flags.count(FORK, 0, last_honest)

@@ -266,6 +266,15 @@ class TestRaceAgainstCounterModel:
         assert any(c[3] for c in cases) and not any(c[3] and c[4] for c in cases)
 
 
+@pytest.fixture
+def exact_floats(monkeypatch):
+    """Grows by one for each slot whose producer the race reads from its exact float."""
+    calls = []
+    unpack = chainsim.unpack_from
+    monkeypatch.setattr(chainsim, "unpack_from", lambda *args: calls.append(args) or unpack(*args))
+    return calls
+
+
 class TestChunkedKernelAgainstSlotOracle:
     """The chunked race against `race_by_slots`, one `random()` per slot."""
 
@@ -277,14 +286,9 @@ class TestChunkedKernelAgainstSlotOracle:
         assert run.trace == oracle.trace, config
         return run
 
-    def test_random_configs_match_the_oracle(self, monkeypatch):
+    def test_random_configs_match_the_oracle(self, exact_floats):
         # networks of 1 to 300 nodes (producers >= 255 leave the byte table),
         # horizons up to 10,000 slots, PoW and PoS, traced and untraced
-        exact_floats = []
-        unpack = chainsim.unpack_from
-        monkeypatch.setattr(
-            chainsim, "unpack_from", lambda *args: exact_floats.append(1) or unpack(*args)
-        )
         rng = random.Random(16)
         cases = set()
         for index in range(160):
@@ -333,12 +337,7 @@ class TestChunkedKernelAgainstSlotOracle:
         ],
         ids=["p3", "edges"],
     )
-    def test_bucket_boundaries_match_the_oracle(self, monkeypatch, powers, on_edge):
-        exact_floats = []
-        unpack = chainsim.unpack_from
-        monkeypatch.setattr(
-            chainsim, "unpack_from", lambda *args: exact_floats.append(1) or unpack(*args)
-        )
+    def test_bucket_boundaries_match_the_oracle(self, exact_floats, powers, on_edge):
         powers = PowerDistribution(powers)
         for index, (minions, consensus) in enumerate(
             itertools.product(([2], [0, 1], [1], [0, 1, 2]), Consensus)
