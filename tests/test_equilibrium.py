@@ -401,8 +401,8 @@ class TestIntegerDraws:
 
     @pytest.mark.parametrize("n_range", [(1, 1), (0, 0), (3, 2)])
     def test_invalid_n_range_rejected_by_name(self, n_range):
-        # (1, 1) used to spin forever (a lone node always reaches t) and
-        # (0, 0) to fail inside max()
+        # no draw of (1, 1) is valid (a lone node always reaches t), so its
+        # rejection loop would never end; (0, 0) has no node to draw
         message = f"n_range {n_range} must satisfy 2 <= n_min <= n_max"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             random_game_params(random.Random(0), n_range)
