@@ -49,6 +49,13 @@ strictly inside that interval, or the node is 255 or above, the entry is
 unresolved, and the slot's producer comes from its exact float as above and
 `bisect_right`, the very computation a `random()` per slot makes. Either
 way every slot gets the producer that one `random()` per slot would give.
+
+What a run keeps. The slots drawn until the race ends form the slot record:
+each slot's producer as a byte (`UNRESOLVED` for a producer of 255 or above,
+kept in a dict by slot) and its flag (`FORK` for a minion's race slot, 0 for
+any other slot, so pre-trigger slots too). The chunk loop only fills it and
+finds the winning slot; block counts, slashing proofs and the trace are each
+read from it once afterwards (see `run_attack_detailed`).
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, chain, count
 from operator import indexOf, sub
 from struct import unpack_from
 from typing import Iterable
@@ -202,13 +209,17 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
     minion producer) or the honest chain (anyone else), and only a fork
     block can end the race.
 
-    Slots are drawn in chunks of one `getrandbits` call each (see the module
-    docstring), the first chunk holding the pre-trigger slots too, and read
-    by byte operations: producers by table lookup, fork slots by a second
-    lookup (a pre-trigger slot is never one), counts by `bytes.count`. A
-    chunk is at least as long as the honest chain's lead, so while the lead
-    is that long the fork cannot win inside it and the walk over the fork's
-    running lead, which finds the slot where the fork gets ahead, is skipped.
+    Slots are drawn in chunks of one `getrandbits` call each, the first chunk
+    holding the pre-trigger slots too. The chunk loop only draws, appends each
+    slot's producer and flag to the slot record (see the module docstring) and
+    finds the winning slot: the fork's running lead over a chunk is the sum of
+    its flags minus its length. A chunk is at least as long as the honest
+    chain's lead, so while the lead is that long the fork cannot win inside it
+    and that walk is skipped. After the loop each result is read once from
+    the record: a node's fork blocks are its race slots, its canonical blocks
+    the others on a lost race (a won one reverts them), the PoS proofs
+    censored the fork blocks after the last honest one, and the trace one row
+    per slot.
     """
     rng = random.Random(config.rng_seed)
     getrandbits = rng.getrandbits
@@ -222,134 +233,104 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
     pos = config.consensus is Consensus.POS_SLASHING
     can_win = not pos or config.powers.exceeds(config.minions, config.threshold_t)
     early = min(k, horizon)  # slots 0 to k-1, or fewer if the horizon ends first
-    # producers of the pre-trigger and of the race slots, as bytes below
-    # UNRESOLVED and, in slot order, as ints from UNRESOLVED up
-    early_parts, race_parts, big_early, big_race = [], [], [], []
-    honest_height = fork_height = 0
-    # PoS slashing proofs: every fork block made before the latest honest
-    # block is in it, since honest producers include all pending proofs
-    proofs_included = 0
+    producers, flags = bytearray(), bytearray()  # the record of every counted slot
+    big = {}  # slot -> its producer, where that is UNRESOLVED or above
+    fork_height = 0  # the honest height is slot - fork_height
     success = False
-    trace = []
     slot = 0  # the next chunk's first slot
     while slot < horizon:
         pending = early - slot if slot < early else 0  # pre-trigger slots left to draw
-        behind = honest_height + pending - fork_height  # the honest lead once the race runs
+        behind = slot - 2 * fork_height + pending  # honest lead once the race runs
         if can_win:
             m = pending + (behind if behind > MIN_CHUNK else MIN_CHUNK)
         else:
             m = MAX_CHUNK  # the race is only counted
         m = min(m, MAX_CHUNK, horizon - slot)
-        lo = pending if pending < m else m  # the chunk's pre-trigger slots, then its race slots
         raw = getrandbits(64 * m).to_bytes(8 * m, "little")
-        producers = raw[3::8].translate(buckets)
-        big = {}  # chunk offset -> producer >= UNRESOLVED
-        j = producers.find(UNRESOLVED)
+        drawn = raw[3::8].translate(buckets)
+        marks = drawn.translate(flag_table)  # 0 for UNRESOLVED, patched below
+        j = drawn.find(UNRESOLVED)
         if j >= 0:
-            producers = bytearray(producers)
+            drawn, marks = bytearray(drawn), bytearray(marks)
             while j >= 0:
                 w0, w1 = unpack_from("<2I", raw, 8 * j)
                 # the float random() makes of the same two words
                 x = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) * (1.0 / 9007199254740992.0)
                 producer = bisect_right(boundaries, x)
                 if producer < UNRESOLVED:
-                    producers[j] = producer
+                    drawn[j] = producer
                 else:
-                    big[j] = producer
-                j = producers.find(UNRESOLVED, j + 1)
-        race = producers[lo:] if lo else producers
-        flags = race.translate(flag_table)
-        if big:
-            flags = bytearray(flags)
-            for j, producer in big.items():
-                if j >= lo and is_minion[producer]:
-                    flags[j - lo] = FORK
+                    big[slot + j] = producer
+                if is_minion[producer]:
+                    marks[j] = FORK
+                j = drawn.find(UNRESOLVED, j + 1)
+        if pending:  # a pre-trigger slot extends the honest chain whoever makes it
+            marks = bytes(min(pending, m)) + marks[pending:]
 
-        end = m - lo  # race slots of this chunk that count
-        if can_win and end > behind:
-            # the fork's lead gained after each race slot; the sentinel after
-            # the last slot stands for "not in this chunk"
-            lead = map(sub, accumulate(flags), count(1))
-            won = indexOf(chain(lead, (behind + 1,)), behind + 1)
-            if won < end:
+        end = m  # slots of this chunk that count
+        if can_win and m > behind + pending:
+            # the fork's lead gained after each slot; the sentinel after the
+            # last slot stands for "not in this chunk"
+            target = behind - pending + 1
+            lead = map(sub, accumulate(marks), count(1))
+            won = indexOf(chain(lead, (target,)), target)
+            if won < m:
                 end = won + 1
                 success = True
-
-        if lo and not success:  # a won race reverts the pre-trigger blocks
-            early_parts.append(producers[:lo])
-        race_parts.append(race[:end])
-        for j, producer in big.items():
-            if j < lo:
-                big_early.append(producer)
-            elif j < lo + end:
-                big_race.append(producer)
-        fork_slots = flags.count(FORK, 0, end)
-        if pos and not success:  # a won race reverts every proof
-            last_honest = flags.rfind(0, 0, end)
-            if last_honest >= 0:
-                proofs_included = fork_height + flags.count(FORK, 0, last_honest)
-        if record_trace:
-            names = list(producers[: lo + end])
-            for j, producer in big.items():
-                if j < lo + end:
-                    names[j] = producer
-            trace += zip(
-                range(slot, slot + lo), names, repeat("canonical"), count(slot + 1), repeat("")
-            )
-            honest, fork = honest_height + lo, fork_height
-            for row_slot, producer, flag in zip(count(slot + lo), names[lo:], flags[:end]):
-                if flag:
-                    fork += 1
-                    trace.append((row_slot, producer, "fork", fork, ""))
-                else:
-                    honest += 1
-                    trace.append((row_slot, producer, "canonical", honest, ""))
-        honest_height += lo + end - fork_slots
-        fork_height += fork_slots
-        slot += lo + end
+        producers += drawn[:end]
+        flags += marks[:end]
+        fork_height += marks.count(FORK, 0, end)
+        slot += end
         if success:
             break
 
+    if big:
+        big = {s: producer for s, producer in big.items() if s < slot}
+    # a minion's race blocks are on the fork; every other block is honest,
+    # and canonical unless the fork won
+    canonical, fork_blocks = [0] * n, [0] * n
+    for i in counted_minions:
+        fork_blocks[i] = producers.count(i, early)
+    if not success:
+        for i in range(min(n, UNRESOLVED)):
+            # a minion's canonical blocks are its pre-trigger ones
+            canonical[i] = producers.count(i, 0, early if is_minion[i] else slot)
+    for s, producer in big.items():
+        if flags[s]:
+            fork_blocks[producer] += 1
+        else:
+            canonical[producer] += 1
+    double_signs: dict[NodeId, int] = {}
+    censored = 0
+    if pos:
+        double_signs = {i: c for i, c in enumerate(fork_blocks) if c}
+        # the next honest block includes every pending proof; a winning fork
+        # reverts every honest block, and the proofs in them
+        censored = fork_height if success else flags.count(FORK, flags.rfind(0))
+    trace = []
     if record_trace:
+        names = list(producers)
+        for s, producer in big.items():
+            names[s] = producer
+        honest = fork = 0
+        for s, producer, flag in zip(count(), names, flags):
+            if flag:
+                fork += 1
+                trace.append((s, producer, "fork", fork, ""))
+            else:
+                honest += 1
+                trace.append((s, producer, "canonical", honest, ""))
         trace[0] = trace[0][:4] + ("target",)
         if 1 < k <= horizon:
             trace[k - 1] = trace[k - 1][:4] + ("trigger",)
         if success:
             trace[-1] = trace[-1][:4] + ("success",)
-    # a minion's race blocks are on the fork; every other block is honest
-    race_producers = b"".join(race_parts)
-    fork_blocks = [0] * n
-    for i in counted_minions:
-        fork_blocks[i] = race_producers.count(i)
-    for producer in big_race:
-        if is_minion[producer]:
-            fork_blocks[producer] += 1
-    if success:
-        canonical = fork_blocks
-    else:
-        early_producers = b"".join(early_parts)
-        canonical = [0] * n
-        for i in range(min(n, UNRESOLVED)):
-            canonical[i] = early_producers.count(i)
-            if not is_minion[i]:
-                canonical[i] += race_producers.count(i)
-        for producer in big_early:
-            canonical[producer] += 1
-        for producer in big_race:
-            if not is_minion[producer]:
-                canonical[producer] += 1
-    double_signs: dict[NodeId, int] = {}
-    censored = 0
-    if pos:
-        double_signs = {i: c for i, c in enumerate(fork_blocks) if c}
-        # a winning fork reverts every honest block, and the proofs in them
-        censored = fork_height if success else fork_height - proofs_included
     result = AttackResult(
         success=success,
         slots_elapsed=slot,
         fork_length=fork_height,
-        reverted_blocks=honest_height if success else 0,
-        per_node_blocks_canonical=dict(enumerate(canonical)),
+        reverted_blocks=slot - fork_height if success else 0,
+        per_node_blocks_canonical=dict(enumerate(fork_blocks if success else canonical)),
         consensus=config.consensus,
         slashing_proofs_censored=censored,
         double_signs=double_signs,
@@ -366,6 +347,7 @@ def sim_config_from_payload(doc: dict, context: str = "sim") -> SimConfig:
     """Parse a sim config document, naming the missing, invalid or unknown field on error.
 
     `rng_seed` (default 0) and `threshold_t` (default 1/2) may be left out.
+    Each minion is a node index, listed once.
     """
     required = ("powers", "minions", "consensus", "confirmations", "horizon_slots")
     check_fields(doc, required, ("rng_seed", "threshold_t"), context)
@@ -377,12 +359,21 @@ def sim_config_from_payload(doc: dict, context: str = "sim") -> SimConfig:
     minions = doc["minions"]
     if not isinstance(minions, list):
         raise ValueError(f"{context}.minions: expected an array of node indices, got {minions!r}")
+    powers = PowerDistribution(parse_rational_list(doc["powers"], f"{context}.powers"))
+    nodes = set()
+    for j, node in enumerate(minions):
+        node = parse_int(node, f"{context}.minions[{j}]")
+        if not 0 <= node < powers.n:
+            raise ValueError(f"{context}.minions[{j}]: {node} is not a node index ({powers.n} nodes)")
+        if node in nodes:
+            raise ValueError(f"{context}.minions[{j}]: node {node} is listed twice")
+        nodes.add(node)
     threshold_t = parse_rational(doc.get("threshold_t", "1/2"), f"{context}.threshold_t")
     if not 0 < threshold_t < 1:
         raise ValueError(f"{context}.threshold_t: {format_rational(threshold_t)} not in (0, 1)")
     return SimConfig(
-        powers=PowerDistribution(parse_rational_list(doc["powers"], f"{context}.powers")),
-        minions=frozenset(parse_int(i, f"{context}.minions[{j}]") for j, i in enumerate(minions)),
+        powers=powers,
+        minions=frozenset(nodes),
         consensus=consensus,
         confirmations=parse_int(doc["confirmations"], f"{context}.confirmations"),
         horizon_slots=parse_int(doc["horizon_slots"], f"{context}.horizon_slots"),

@@ -364,6 +364,30 @@ class TestChunkedKernelAgainstSlotOracle:
             run = self.assert_same_run(config, record_trace=True)
             assert run.trace[0][1] == (0 if x < boundary else 1)
 
+    def test_pre_trigger_slots_across_chunks(self):
+        # k > MAX_CHUNK: the first chunks hold only pre-trigger slots, and the
+        # race starts inside a later one
+        rng = random.Random(17)
+        cases = set()
+        grid = itertools.product(
+            Consensus, ([0, 1], [0, 1, 2], [2]), (-7, 1, 12_000), (True, False)
+        )
+        for index, (consensus, minions, past_k, traced) in enumerate(grid):
+            k = chainsim.MAX_CHUNK + rng.randint(0, 70)
+            config = SimConfig(
+                powers=P3_POWERS,
+                minions=frozenset(minions),
+                consensus=consensus,
+                confirmations=k,
+                horizon_slots=k + past_k,
+                rng_seed=derive_seed(0, "race-long-trigger", index),
+                threshold_t=Fraction(rng.choice([1, 4]), 5),
+            )
+            run = self.assert_same_run(config, record_trace=traced)
+            cases.add((consensus, run.result.success, traced))
+        # won and lost races of both kinds, each traced and untraced
+        assert cases == set(itertools.product(Consensus, (True, False), (True, False)))
+
     def test_generator_layout_the_kernel_reads(self):
         assert layout_mismatches(range(40)) == []
 

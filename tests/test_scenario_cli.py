@@ -248,6 +248,23 @@ class TestLoadScenario:
         assert main(["verify", str(file)]) == 2
         assert capsys.readouterr().err == f"error: scenario {file}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "minions, message",
+        [
+            ([0, 5], "sim.minions[1]: 5 is not a node index (3 nodes)"),
+            ([1, 3], "sim.minions[1]: 3 is not a node index (3 nodes)"),
+            ([-1], "sim.minions[0]: -1 is not a node index (3 nodes)"),
+            ([0, 0], "sim.minions[1]: node 0 is listed twice"),
+            ([2, 1, 2], "sim.minions[2]: node 2 is listed twice"),
+        ],
+        ids=["past-n", "at-n", "negative", "repeated", "repeated-later"],
+    )
+    def test_bad_minion_exits_2_naming_the_entry(self, tmp_path, capsys, minions, message):
+        # a repeated minion is named, not merged into the minion set
+        file = write_scenario(tmp_path, sim=dict(P3_SIM, minions=minions))
+        assert main(["verify", str(file)]) == 2
+        assert capsys.readouterr().err == f"error: scenario {file}: {message}\n"
+
     def test_bad_schema_version(self, tmp_path):
         file = write_scenario(tmp_path, schema_version=2)
         with pytest.raises(ScenarioError, match="schema_version"):
