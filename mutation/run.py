@@ -15,8 +15,7 @@ runs `python -m pytest -x -q -p no:cacheprovider tests`.
 The unmutated copy is run first and must pass, so a broken suite cannot
 pass for a killed mutant. Stdlib only:
 
-    python mutation/run.py                 # every mutant
-    python mutation/run.py --only ID ...   # the named mutants
+    python mutation/run.py
 
 Exit status: 0 if every mutant ends as declared, 1 if one does not (a
 killed mutant survives, an equivalent one is killed, or the unmutated suite
@@ -25,7 +24,6 @@ fails), 2 if the list is malformed.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -95,17 +93,9 @@ def run_suite(mutant: dict | None) -> tuple[bool, str]:
         return done.returncode == 0, tail
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Run the mutation gate.")
-    parser.add_argument("--only", nargs="+", metavar="ID", help="run only these mutants")
-    args = parser.parse_args(argv)
+def main() -> int:
     try:
         mutants = load_mutants()
-        if args.only:
-            unknown = set(args.only) - {m["id"] for m in mutants}
-            if unknown:
-                raise ValueError(f"unknown mutant ids: {sorted(unknown)}")
-            mutants = [m for m in mutants if m["id"] in args.only]
     except (OSError, ValueError) as exc:
         print(f"mutation/run.py: {exc}", file=sys.stderr)
         return 2

@@ -53,7 +53,8 @@ way every slot gets the producer that one `random()` per slot would give.
 What a run keeps. The slots drawn until the race ends form the slot record:
 each slot's producer as a byte (`UNRESOLVED` for a producer of 255 or above,
 kept in a dict by slot) and its flag (`FORK` for a minion's race slot, 0 for
-any other slot, so pre-trigger slots too). The chunk loop only fills it and
+any other slot, so pre-trigger slots too): two bytes per slot, held until the
+run ends, so a race lost at a horizon of h slots holds about 2h bytes. The chunk loop only fills it and
 finds the winning slot; block counts, slashing proofs and the trace are each
 read from it once afterwards (see `run_attack_detailed`).
 """
@@ -305,7 +306,8 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
     if pos:
         double_signs = {i: c for i, c in enumerate(fork_blocks) if c}
         # the next honest block includes every pending proof; a winning fork
-        # reverts every honest block, and the proofs in them
+        # reverts every honest block, and the proofs in them. Slot 0 is
+        # pre-trigger (confirmations >= 1), so the rfind below is never -1
         censored = fork_height if success else flags.count(FORK, flags.rfind(0))
     trace = []
     if record_trace:
