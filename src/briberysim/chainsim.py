@@ -345,6 +345,14 @@ def run_attack(config: SimConfig) -> AttackResult:
     return run_attack_detailed(config, record_trace=False).result
 
 
+def parse_consensus(value: object, field: str) -> Consensus:
+    """The consensus named `value`; otherwise a ValueError names `field` and the valid names."""
+    try:
+        return Consensus(value)
+    except ValueError:
+        raise ValueError(f"{field}: {value!r} is not one of {[c.value for c in Consensus]}") from None
+
+
 def sim_config_from_payload(doc: dict, context: str = "sim") -> SimConfig:
     """Parse a sim config document, naming the missing, invalid or unknown field on error.
 
@@ -353,11 +361,7 @@ def sim_config_from_payload(doc: dict, context: str = "sim") -> SimConfig:
     """
     required = ("powers", "minions", "consensus", "confirmations", "horizon_slots")
     check_fields(doc, required, ("rng_seed", "threshold_t"), context)
-    try:
-        consensus = Consensus(doc["consensus"])
-    except ValueError:
-        values = [c.value for c in Consensus]
-        raise ValueError(f"{context}.consensus: {doc['consensus']!r} is not one of {values}") from None
+    consensus = parse_consensus(doc["consensus"], f"{context}.consensus")
     minions = doc["minions"]
     if not isinstance(minions, list):
         raise ValueError(f"{context}.minions: expected an array of node indices, got {minions!r}")

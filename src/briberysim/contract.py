@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .games import NodeId, PowerDistribution
-from .rational import decode_json, format_rational, parse_bool, parse_int, parse_rational
-from .rational import parse_rational_list
+from .rational import check_fields, decode_json, format_rational, parse_bool, parse_int
+from .rational import parse_rational, parse_rational_list
 
 
 class ContractError(ValueError):
@@ -249,20 +249,29 @@ def settlement_summary(state: ContractState) -> SettlementSummary:
 # One JSON object per line, "event" in {init, commit, advance_clock,
 # oracle_report, distribute}. An oracle_report line installs the report used
 # by subsequent distribute lines. Replaying a log reproduces the final state
-# exactly. Unknown keys are ignored (old logs carry "malicious_protocol_id").
+# exactly. Each kind has a closed set of keys: a missing or unknown key is an
+# error, except that init also accepts and ignores the legacy
+# "malicious_protocol_id".
 
-def _field(doc: dict, key: str, parse):
-    if key not in doc:
-        raise ValueError(f"missing field '{key}'")
-    return parse(doc[key], key)
+# required and optional keys of each event kind
+_EVENT_FIELDS = {
+    "init": (("event", "expiration_time", "magnate_deposit", "threshold_t", "powers"),
+             ("malicious_protocol_id",)),
+    "commit": (("event", "node", "deposit"), ()),
+    "advance_clock": (("event", "to"), ()),
+    "oracle_report": (("event", "attack_successful"), ("executed_protocol",)),
+    "distribute": (("event", "node"), ()),
+}
+# the same as sets, so that a well-formed line costs one set comparison
+_EVENT_KEYS = {kind: (frozenset(req), frozenset(req + opt)) for kind, (req, opt) in _EVENT_FIELDS.items()}
 
 
 def config_from_payload(doc: dict) -> ContractConfig:
     return ContractConfig(
-        expiration_time=_field(doc, "expiration_time", parse_int),
-        magnate_deposit=_field(doc, "magnate_deposit", parse_rational),
-        threshold_t=_field(doc, "threshold_t", parse_rational),
-        powers=PowerDistribution(_field(doc, "powers", parse_rational_list)),
+        expiration_time=parse_int(doc["expiration_time"], "expiration_time"),
+        magnate_deposit=parse_rational(doc["magnate_deposit"], "magnate_deposit"),
+        threshold_t=parse_rational(doc["threshold_t"], "threshold_t"),
+        powers=PowerDistribution(parse_rational_list(doc["powers"], "powers")),
     )
 
 
@@ -278,7 +287,7 @@ def oracle_from_payload(doc: dict) -> OracleReport:
             executed[int(key)] = Protocol(value)
         except ValueError:
             raise ValueError(f"executed_protocol[{key!r}]: {value!r} is not a protocol") from None
-    return OracleReport(_field(doc, "attack_successful", parse_bool), executed)
+    return OracleReport(parse_bool(doc["attack_successful"], "attack_successful"), executed)
 
 
 @dataclass(frozen=True)
@@ -309,27 +318,30 @@ def replay_events(lines: Iterable[str]) -> ReplayResult:
             if not isinstance(event, dict):
                 raise ValueError("expected a JSON object")
             kind = event.get("event")
+            if state is None and kind != "init":
+                raise ValueError(f"{kind!r} before init")
+            if not isinstance(kind, str) or kind not in _EVENT_KEYS:
+                raise ValueError(f"unknown event {kind!r}")
+            required, allowed = _EVENT_KEYS[kind]
+            if not required <= set(event) <= allowed:
+                check_fields(event, *_EVENT_FIELDS[kind], kind)
             if kind == "init":
                 if state is not None:
                     raise ValueError("duplicate init")
                 state = contract_init(config_from_payload(event))
-            elif state is None:
-                raise ValueError(f"{kind!r} before init")
             elif kind == "commit":
-                node = _field(event, "node", parse_int)
-                state = contract_commit(state, node, _field(event, "deposit", parse_rational))
+                node = parse_int(event["node"], "node")
+                state = contract_commit(state, node, parse_rational(event["deposit"], "deposit"))
             elif kind == "advance_clock":
-                state = advance_clock(state, _field(event, "to", parse_int))
+                state = advance_clock(state, parse_int(event["to"], "to"))
             elif kind == "oracle_report":
                 oracle = oracle_from_payload(event)
-            elif kind == "distribute":
+            else:
                 if oracle is None:
                     raise ValueError("distribute before any oracle_report")
-                node = _field(event, "node", parse_int)
+                node = parse_int(event["node"], "node")
                 state, outcome = contract_distribute(state, node, oracle)
                 outcomes.append((node, outcome))
-            else:
-                raise ValueError(f"unknown event {kind!r}")
         except ValueError as exc:
             raise type(exc)(f"event log line {line_no}: {exc}") from None
     if state is None:

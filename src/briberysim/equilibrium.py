@@ -19,7 +19,8 @@ was drawn as (`_Draw`) and builds a `GameParams`, with Fraction powers and
 rewards, only for the instance it reports as failing; `random_game_params`
 builds one for its callers.
 Strictness checks flip one node at a time. T3 tests the committed side's
-two weight regions, not its 2^n subsets. Dominance scans all 2^(n-1)
+two weight regions; only a failing instance has its 2^n subsets scanned,
+in mask order, to name the first failing one. Dominance scans all 2^(n-1)
 opponent profiles per node, which caps it at ENUMERATION_LIMIT nodes.
 """
 
@@ -511,51 +512,17 @@ def _check_strict_nash(params: GameParams, profile: StrategyProfile, label: str)
     )
 
 
-def _reachable(weights: Sequence[int], hit: int) -> tuple[list[int], list[int]]:
-    """Prefix reachability bitsets: bit W of `every[b]` is set iff some subset
-    of nodes 0..b-1 weighs W, and of `hitting[b]` iff some such subset with a
-    node of the bitmask `hit` does."""
-    every, hitting = [1], [0]
-    for node, w in enumerate(weights):
-        reach, hits = every[-1], hitting[-1]
-        hitting.append(hits | (reach if hit >> node & 1 else hits) << w)
-        every.append(reach | reach << w)
-    return every, hitting
-
-
-def _weighs_within(bits: int, lo: int, hi: int) -> bool:
-    """Does the bitset `bits` hold a weight in lo..hi?"""
-    return hi >= 0 and (bits & ((2 << hi) - 1)) >> max(lo, 0) != 0
-
-
-def _lowest_mask(weights: Sequence[int], hit: int, lo: int, hi: int) -> int | None:
-    """The lowest bitmask of a subset that has a node of `hit` and weighs lo..hi.
-
-    Decides the bits from the top down, leaving a node out whenever the
-    nodes below it can still complete such a subset.
-    """
-    every, hitting = _reachable(weights, hit)
-    if not _weighs_within(hitting[-1], lo, hi):
-        return None
-    mask = weight = 0
-    for node in reversed(range(len(weights))):
-        rest = every[node] if mask & hit else hitting[node]
-        if not _weighs_within(rest, lo - weight, hi - weight):
-            mask |= 1 << node
-            weight += weights[node]
-    return mask
-
-
 def _check_t3(params: GameParams) -> str | None:
     """The first deviating subset, in increasing bitmask order, with a member
     earning below its honest reward.
 
     The committed side's rewards are constant on each region of its weight
     W (`_payoff_rule`): W <= t_weight and W > t_weight. So the rule is called
-    once per region, and that region fails iff some subset weighing within
-    it has a node earning below r_h there. The lowest such subset is rebuilt
-    from prefix reachability only when one exists; the subsets' honest side
-    is their complement.
+    once per region, giving the region's mask of nodes paid below r_h. Both
+    masks are empty on every valid instance, which returns at once; only a
+    failing instance is scanned, in increasing mask order, to the first
+    subset holding a losing node of its own region (a subset's honest side
+    is its complement). The text names that subset's lowest losing node.
 
     That all-honest is not strict in the collusion game needs no check of
     its own: a passing check has found each lone committer (a singleton
@@ -564,21 +531,21 @@ def _check_t3(params: GameParams) -> str | None:
     r_h = params.reward_honest
     total = sum(params.weights)
     t = params.t_weight
-    first = None
-    for lo, hi in ((0, t), (t + 1, total)):
-        _, committed = _payoff_rule(params, Variant.COLLUSION, total - lo, lo)
-        below = sum(1 << i for i in range(params.n) if committed[i] < r_h[i])
-        mask = _lowest_mask(params.weights, below, lo, hi) if below else None
-        if mask is not None and (first is None or mask < first[0]):
-            first = (mask, mask & below, committed)
-    if first is None:
+    regions = []  # per region (W <= t, W > t): the mask of nodes paid below r_h, the rewards
+    for w in (0, t + 1):
+        _, committed = _payoff_rule(params, Variant.COLLUSION, total - w, w)
+        regions.append((sum(1 << i for i in range(params.n) if committed[i] < r_h[i]), committed))
+    if not (regions[0][0] or regions[1][0]):
         return None
-    mask, losers, committed = first
-    i = (losers & -losers).bit_length() - 1
-    return (
-        f"deviating subset {mask:#x}: node {i} earns {format_rational(committed[i])} < "
-        f"honest reward {format_rational(r_h[i])}"
-    )
+    for mask, weight in enumerate(_subset_weights(params.weights)):
+        below, committed = regions[weight > t]
+        losers = mask & below
+        if losers:
+            i = (losers & -losers).bit_length() - 1
+            return (
+                f"deviating subset {mask:#x}: node {i} earns {format_rational(committed[i])} < "
+                f"honest reward {format_rational(r_h[i])}"
+            )
 
 
 def _check_t2(params: GameParams) -> str | None:

@@ -31,6 +31,7 @@ from . import __version__
 from .chainsim import (
     Consensus,
     SimConfig,
+    parse_consensus,
     run_attack_detailed,
     sim_config_from_payload,
     trace_to_csv,
@@ -294,11 +295,8 @@ def _sweep_options(opts: dict) -> tuple[list[tuple], int, int, Consensus]:
         raise ValueError(f"sweep has {len(cells)} cells, exceeding the cap 'max_cells' = {cap}")
     runs_per_cell = parse_int(opts.get("runs_per_cell", 100), "'runs_per_cell'", minimum=1)
     horizon = parse_int(opts.get("horizon_slots", 2000), "'horizon_slots'", minimum=1)
-    consensus = opts.get("consensus", Consensus.POW_LONGEST_CHAIN.value)
-    values = [c.value for c in Consensus]
-    if consensus not in values:
-        raise ValueError(f"'consensus' {consensus!r} is not one of {values}")
-    return cells, runs_per_cell, horizon, Consensus(consensus)
+    consensus = parse_consensus(opts.get("consensus", Consensus.POW_LONGEST_CHAIN), "'consensus'")
+    return cells, runs_per_cell, horizon, consensus
 
 
 @dataclass(frozen=True)

@@ -480,6 +480,44 @@ class TestEventLogReplay:
         message = f"event log line {line_no}: {message}"
         assert capsys.readouterr().err == f"error: tasks[0] (contract_trace): events.jsonl: {message}\n"
 
+    @pytest.mark.parametrize(
+        "line_no, old, new, message",
+        [
+            (5, '"executed_protocol"', '"executed_protocl"',
+             "oracle_report: unknown field 'executed_protocl'; fields: "
+             "['event', 'attack_successful', 'executed_protocol']"),
+            (2, '"deposit"', '"deposit": "9", "depositt"',
+             "commit: unknown field 'depositt'; fields: ['event', 'node', 'deposit']"),
+            (4, '"to"', '"too"', "advance_clock: unknown field 'too'; fields: ['event', 'to']"),
+            (6, '"node": 0', '"node": 0, "node_id": 0',
+             "distribute: unknown field 'node_id'; fields: ['event', 'node']"),
+        ],
+        ids=["misspelt-optional-key", "stray-key", "misspelt-required-key", "extra-key"],
+    )
+    def test_unknown_key_exits_2_naming_line_and_key(self, tmp_path, capsys, line_no, old, new, message):
+        # if unknown keys were ignored, the misspelt optional key would leave
+        # the report covering no node (line 6 would fail, naming no key) and
+        # the stray key would pass
+        fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
+        lines = fixture.read_text(encoding="utf-8").splitlines()
+        assert lines[line_no - 1].count(old) == 1
+        lines[line_no - 1] = lines[line_no - 1].replace(old, new)
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["contract-trace", str(events)]) == 2
+        message = f"event log line {line_no}: {message}"
+        assert capsys.readouterr().err == f"error: tasks[0] (contract_trace): events.jsonl: {message}\n"
+
+    def test_legacy_init_key_is_the_only_extra_key_accepted(self):
+        fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
+        lines = fixture.read_text(encoding="utf-8").splitlines()
+        assert '"malicious_protocol_id"' in lines[0]
+        without = [lines[0].replace('"malicious_protocol_id": "double-spend", ', ""), *lines[1:]]
+        assert replay_events(without) == replay_events(lines)
+        lines[0] = lines[0].replace('"malicious_protocol_id"', '"protocol_id"')
+        with pytest.raises(ValueError, match="^event log line 1: init: unknown field 'protocol_id'; "):
+            replay_events(lines)
+
     def test_decimal_deposit_is_exact(self):
         fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
         lines = fixture.read_text(encoding="utf-8").splitlines()

@@ -539,6 +539,21 @@ class TestT3OverWeightRegions:
         params = mixed_params(powers, t, (2,) * len(powers), r_m)
         assert _check_t3(params) == expected == t3_by_subsets(params)
 
+    def test_subsets_are_scanned_only_for_the_failing_instance(self, monkeypatch):
+        calls = []
+        subset_weights = equilibrium._subset_weights
+
+        def counting(weights):
+            calls.append(tuple(weights))
+            return subset_weights(weights)
+
+        monkeypatch.setattr(equilibrium, "_subset_weights", counting)
+        assert verify_theorem("T3", 7, 500).all_passed
+        assert calls == []
+        report = verify_theorem("T3", 7, 200, mutation=MUTATION_MALICIOUS_REWARD_BELOW_HONEST)
+        assert not report.all_passed
+        assert len(calls) == 1
+
 
 class TestDrawMatchesRandint:
     @pytest.mark.parametrize("mutation", [None, *equilibrium.MUTATIONS])

@@ -197,6 +197,23 @@ class TestLoadScenario:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"tasks": [{"kind": "dominance"}, {"kind": "sweep", "grid": {}, "consensus": "pow"}]},
+             "tasks[1] (sweep): 'consensus': 'pow' is not one of "
+             "['pow_longest_chain', 'pos_slashing']"),
+            ({"sim": dict(P3_SIM, consensus="pow")},
+             "scenario {file}: sim.consensus: 'pow' is not one of "
+             "['pow_longest_chain', 'pos_slashing']"),
+        ],
+        ids=["sweep", "sim"],
+    )
+    def test_unknown_consensus_exits_2_naming_its_field(self, tmp_path, capsys, overrides, message):
+        file = write_scenario(tmp_path, **overrides)
+        assert main(["verify", str(file)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(file=file)}\n"
+
+    @pytest.mark.parametrize(
         "section, key",
         [("sim", "threshold"), ("params", "rdp")],
         ids=["sim-threshold", "params-rdp"],
