@@ -17,15 +17,17 @@ execute the malicious protocol. Lifecycle:
 * a settlement request that matches none of those outcomes (attack still
   pending) records nothing.
 
-Transitions are pure: every operation returns a new state, so an event log
-replays to a bit-identical final state. A state stores only its commits,
-settlements and clock; the order and the phase are derived from them. Time
-is an integer logical clock advanced explicitly by events.
+Transitions are pure: every operation returns a new state, built directly
+from the old one's fields, so an event log replays to a bit-identical final
+state. A state stores only its commits, settlements and clock; the order and
+the phase are derived from them. Time is an integer logical clock advanced
+explicitly by events. Amounts arrive as Fractions: an event log's are read
+by `rational.parse_rational`, and nothing here converts them again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -59,14 +61,13 @@ class SettlementOutcome(Enum):
 
 @dataclass(frozen=True)
 class ContractConfig:
+    """The contract's terms. The deposit and threshold are Fractions, as
+    `parse_rational` makes them; they are stored as given, not converted."""
+
     expiration_time: int
     magnate_deposit: Fraction
     threshold_t: Fraction
     powers: PowerDistribution
-
-    def __post_init__(self):
-        object.__setattr__(self, "magnate_deposit", Fraction(self.magnate_deposit))
-        object.__setattr__(self, "threshold_t", Fraction(self.threshold_t))
 
 
 @dataclass(frozen=True)
@@ -138,16 +139,15 @@ def contract_commit(state: ContractState, node: NodeId, deposit: Fraction) -> Co
         raise ContractError(f"commit rejected: unknown node {node}")
     if node in state.minions:
         raise ContractError(f"commit rejected: node {node} already committed")
-    deposit = Fraction(deposit)
     if deposit <= 0:
         raise ContractError(f"commit rejected: deposit {format_rational(deposit)} must be positive")
-    return replace(state, minions={**state.minions, node: deposit})
+    return ContractState(state.config, {**state.minions, node: deposit}, state.settlements, state.clock)
 
 
 def advance_clock(state: ContractState, to: int) -> ContractState:
     if to < state.clock:
         raise ContractError(f"clock cannot regress from {state.clock} to {to}")
-    return replace(state, clock=to)
+    return ContractState(state.config, state.minions, state.settlements, to)
 
 
 def contract_distribute(
@@ -180,7 +180,8 @@ def contract_distribute(
     else:
         return state, SettlementOutcome.PENDING
 
-    return replace(state, settlements={**state.settlements, node: (outcome, payout)}), outcome
+    settlements = {**state.settlements, node: (outcome, payout)}
+    return ContractState(state.config, state.minions, settlements, state.clock), outcome
 
 
 @dataclass(frozen=True)
@@ -227,20 +228,31 @@ def settlement_summary(state: ContractState) -> SettlementSummary:
     unsettled = set(state.minions) - set(state.settlements)
     if unsettled:
         raise ContractError(f"unsettled minions remain: {sorted(unsettled)}")
-    settled = sorted(state.settlements.items())
-    payouts = {i: paid for i, (outcome, paid) in settled if outcome is not SettlementOutcome.BURNED}
-    burned = {i: state.minions[i] for i, (outcome, _) in settled if outcome is SettlementOutcome.BURNED}
-    powers = state.config.powers
-    paid = sum(powers.weights[i] for i, (outcome, _) in settled if outcome is SettlementOutcome.PAID)
-    residual = state.config.magnate_deposit * Fraction(powers.scale - paid, powers.scale)
+    minions = state.minions
+    weights = state.config.powers.weights
+    payouts, burned = {}, {}
+    total_deposits = total_payouts = total_burned = Fraction(0)
+    paid = 0  # integer weight of the minions paid their share
+    for i, (outcome, payout) in sorted(state.settlements.items()):
+        deposit = minions[i]
+        total_deposits += deposit
+        if outcome is SettlementOutcome.BURNED:
+            burned[i] = deposit
+            total_burned += deposit
+        else:
+            payouts[i] = payout
+            total_payouts += payout
+            if outcome is SettlementOutcome.PAID:
+                paid += weights[i]
+    scale = state.config.powers.scale
     return SettlementSummary(
         payouts=payouts,
         burned_deposits=burned,
-        residual_to_magnate=residual,
+        residual_to_magnate=state.config.magnate_deposit * Fraction(scale - paid, scale),
         magnate_deposit=state.config.magnate_deposit,
-        total_deposits=sum(state.minions.values(), Fraction(0)),
-        total_payouts=sum(payouts.values(), Fraction(0)),
-        total_burned=sum(burned.values(), Fraction(0)),
+        total_deposits=total_deposits,
+        total_payouts=total_payouts,
+        total_burned=total_burned,
     )
 
 

@@ -84,9 +84,10 @@ class ProfileVariantMismatch(ValueError):
 class PowerDistribution:
     """Per-node voting power shares.
 
-    Construction only coerces the powers to Fractions; whether the
-    distribution is admissible (all positive, sums to exactly 1) is a
-    validation question answered by `validate_params`.
+    Construction only coerces the powers to Fractions (one given as a
+    Fraction is kept as it is); whether the distribution is admissible (all
+    positive, sums to exactly 1) is a validation question answered by
+    `validate_params`.
     """
 
     powers: tuple[Fraction, ...]
@@ -95,7 +96,7 @@ class PowerDistribution:
     scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        powers = tuple(Fraction(p) for p in self.powers)
+        powers = tuple(p if type(p) is Fraction else Fraction(p) for p in self.powers)
         scale = math.lcm(*(p.denominator for p in powers))
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "scale", scale)

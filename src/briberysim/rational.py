@@ -10,6 +10,7 @@ by `decode_json`, so a JSON number means its decimal value everywhere.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 
@@ -21,19 +22,31 @@ def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-# a JSON number's decimal exponent has at most this many digits: Fraction
-# builds the whole integer 10**exponent, so 1e1000000 alone takes a third of
-# a second and each further digit about thirty times longer
+# a decimal exponent has at most this many digits: Fraction builds the whole
+# integer 10**exponent, so 1e1000000 alone takes a third of a second and each
+# further digit about thirty times longer
 _MAX_EXPONENT_DIGITS = 3
+
+
+def _check_exponent(text: str, field: str | None) -> None:
+    """Reject a number whose decimal exponent lies outside -999..999 before
+    Fraction reads it: `text` is a JSON number's raw text (`field` None) or
+    the rational string given for `field`."""
+    exponent = text.lower().partition("e")[2].rstrip().replace("_", "")
+    if not exponent.isascii():
+        # Fraction reads any decimal digit; spelt in ASCII, leading zeros strip
+        exponent = "".join(str(int(c)) if c.isdecimal() else c for c in exponent)
+    digits = exponent.lstrip("+-")
+    if len(digits.lstrip("0")) > _MAX_EXPONENT_DIGITS and digits.isdecimal():
+        shown = text if len(text) <= 20 else text[:20] + "..."
+        what = f"number {shown}" if field is None else f"{field}: rational string {shown!r}"
+        bound = 10**_MAX_EXPONENT_DIGITS - 1
+        raise ValueError(f"{what} has a decimal exponent outside -{bound}..{bound}")
 
 
 def _decimal(text: str) -> Fraction:
     """A JSON number with a fraction or an exponent, exactly."""
-    exponent = text.lower().partition("e")[2]
-    if len(exponent.lstrip("+-").lstrip("0")) > _MAX_EXPONENT_DIGITS:
-        shown = text if len(text) <= 20 else text[:20] + "..."
-        bound = 10**_MAX_EXPONENT_DIGITS - 1
-        raise ValueError(f"number {shown} has a decimal exponent outside -{bound}..{bound}")
+    _check_exponent(text, None)
     return Fraction(text)
 
 
@@ -55,33 +68,48 @@ def decode_json(data: str | bytes) -> object:
         raise ValueError(f"invalid JSON: {exc}") from None
 
 
+# the form format_rational writes: "3", "-63/20"; ASCII digits only
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(value: object, field: str = "value") -> Fraction:
     """Parse a rational from a JSON-decoded value.
 
     Accepts rational strings ("7/20", "3", "-0.25"), ints, and Fractions.
     Floats are rejected: a JSON number like 0.55 keeps its decimal meaning
-    only when decoded by `decode_json`.
+    only when decoded by `decode_json`. This is where input becomes a
+    Fraction: a string is read as `Fraction(str)` reads it, but one in
+    canonical form is built from its two integers, and a decimal exponent
+    outside -999..999 is rejected.
     """
+    if isinstance(value, str):
+        canonical = _CANONICAL.fullmatch(value)
+        # a zero denominator ("3/00") is left to Fraction(str), which rejects it
+        if canonical is not None and (canonical[2] is None or canonical[2].strip("0")):
+            try:
+                return Fraction(int(canonical[1]), int(canonical[2] or 1))
+            except ValueError:  # past int()'s digit limit: Fraction(str) below rejects it by name
+                pass
+        _check_exponent(value, field)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{field}: not a rational string: {value!r}") from exc
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise ValueError(f"{field}: expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{field}: not a rational string: {value!r}") from exc
     raise ValueError(f"{field}: expected a rational string, got {type(value).__name__}")
 
 
 def parse_int(value: object, field: str, minimum: int | None = None) -> int:
     """Parse a JSON integer, optionally bounded below; booleans are rejected,
     and so is a number written with a fraction or an exponent, even 1e2."""
-    if isinstance(value, Fraction):
-        raise ValueError(f"{field}: expected an integer, got {value}, not written as an integer")
     if isinstance(value, bool) or not isinstance(value, int):
+        if isinstance(value, Fraction):
+            raise ValueError(f"{field}: expected an integer, got {value}, not written as an integer")
         raise ValueError(f"{field}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{field}: must be >= {minimum}, got {value}")

@@ -110,6 +110,9 @@ class ContractSession:
     # every transition as (kind, node or None), from "init" on, and the phase after it
     events: list[tuple[str, int | None]]
     phase_history: list[Phase]
+    # the state after each of `events`, with a copy of it (dicts copied) made
+    # while it was the newest state
+    snapshots: list[tuple[ContractState, ContractState]]
 
 
 def random_contract_session(rng: random.Random, force_no_trigger: bool = False) -> ContractSession:
@@ -134,10 +137,18 @@ def random_contract_session(rng: random.Random, force_no_trigger: bool = False) 
     order_history = [state.order]
     events: list[tuple[str, int | None]] = [("init", None)]
     phase_history = [state.phase]
+    snapshots: list[tuple[ContractState, ContractState]] = []
+
+    def snapshot(state: ContractState) -> None:
+        copy = ContractState(state.config, dict(state.minions), dict(state.settlements), state.clock)
+        snapshots.append((state, copy))
 
     def record(kind: str, node: int | None, state: ContractState) -> None:
         events.append((kind, node))
         phase_history.append(state.phase)
+        snapshot(state)
+
+    snapshot(state)
 
     candidates = list(range(n))
     rng.shuffle(candidates)
@@ -204,6 +215,7 @@ def random_contract_session(rng: random.Random, force_no_trigger: bool = False) 
         commit_power_prefix=prefix,
         events=events,
         phase_history=phase_history,
+        snapshots=snapshots,
     )
 
 

@@ -1,6 +1,9 @@
 """Tests for the bribery contract state machine and its event log."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -319,6 +322,16 @@ class TestRandomizedProperties:
                 assert session.outcomes[node] is SettlementOutcome.REFUNDED
                 assert session.final_state.settlements[node][1] == deposit
 
+    def test_transitions_leave_every_earlier_state_unchanged(self):
+        # every operation returns a new state: a commit, clock or settlement
+        # that wrote into the dicts it was given would change a state seen earlier
+        rng = random.Random(4242)
+        for _ in range(300):
+            session = random_contract_session(rng)
+            assert len(session.snapshots) == len(session.events)
+            for state, snapshot in session.snapshots:
+                assert state == snapshot
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_conservation_property(self, seed):
@@ -479,6 +492,29 @@ class TestEventLogReplay:
         assert main(["contract-trace", str(events)]) == 2
         message = f"event log line {line_no}: {message}"
         assert capsys.readouterr().err == f"error: tasks[0] (contract_trace): events.jsonl: {message}\n"
+
+    def test_huge_exponent_in_a_rational_string_exits_2_at_once(self, tmp_path):
+        # Fraction("1e10000000") would build the integer 10**10000000 before any
+        # check; a child process with a time limit keeps a regression from hanging the suite
+        fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
+        lines = fixture.read_text(encoding="utf-8").splitlines()
+        assert lines[1].count('"deposit": "9"') == 1
+        lines[1] = lines[1].replace('"deposit": "9"', '"deposit": "1e10000000"')
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "briberysim.cli", "contract-trace", str(events)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2
+        message = (
+            "event log line 2: deposit: rational string '1e10000000' has a decimal exponent"
+            " outside -999..999"
+        )
+        assert done.stderr == f"error: tasks[0] (contract_trace): events.jsonl: {message}\n"
 
     @pytest.mark.parametrize(
         "line_no, old, new, message",

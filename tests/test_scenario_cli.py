@@ -367,6 +367,23 @@ class TestLoadScenario:
         message = f"invalid JSON: number {shown} has a decimal exponent outside -999..999"
         assert capsys.readouterr().err == f"error: scenario {file}: {message}\n"
 
+    def test_huge_exponent_in_a_rational_string_exits_2_at_once(self, tmp_path):
+        # the string form is bounded as the number form is: Fraction("1e10000000")
+        # would build the integer 10**10000000 before any check; the time limit
+        # keeps a regression from hanging the suite
+        file = write_scenario(tmp_path, params=dict(P3_PARAMS, t="1e10000000"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "briberysim.cli", "verify", str(file)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2
+        message = "params.t: rational string '1e10000000' has a decimal exponent outside -999..999"
+        assert done.stderr == f"error: scenario {file}: {message}\n"
+
     @pytest.mark.parametrize("number, shown", [("1.5", "3/2"), ("1e3", "1000")], ids=["1.5", "1e3"])
     def test_integer_option_written_as_decimal_text_pinned(self, tmp_path, capsys, number, shown):
         file = write_scenario(tmp_path, tasks=[{"kind": "verify_t1", "instances": "N"}])
