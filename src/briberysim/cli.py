@@ -103,24 +103,27 @@ def _run_tasks(scenario: Scenario, tasks: tuple[TaskSpec, ...], args) -> int:
     return _emit(report, args)
 
 
+def _file_tasks(args, kind: str) -> tuple[Scenario, tuple[TaskSpec, ...]]:
+    """The scenario file `args.scenario`, loaded, and its tasks of `kind`."""
+    scenario = load_scenario(args.scenario)
+    return scenario, tuple(task for task in scenario.tasks if task.kind == kind)
+
+
 def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = run_scenario(scenario, output_dir=args.out, seed=args.seed)
-    return _emit(report, args)
+    return _run_tasks(scenario, scenario.tasks, args)
 
 
 def cmd_cascade(args) -> int:
-    scenario = load_scenario(args.scenario)
+    scenario, tasks = _file_tasks(args, "cascade")
     if args.order is not None:
         try:
             order = [int(part) for part in args.order.split(",") if part.strip() != ""]
         except ValueError:
             raise ScenarioError(f"--order must be comma-separated integers, got {args.order!r}")
         tasks = (TaskSpec("cascade", {"order": order}),)
-    else:
-        tasks = tuple(t for t in scenario.tasks if t.kind == "cascade")
-        if not tasks:
-            raise ScenarioError("scenario has no cascade task; pass --order")
+    elif not tasks:
+        raise ScenarioError("scenario has no cascade task; pass --order")
     return _run_tasks(scenario, tasks, args)
 
 
@@ -139,8 +142,8 @@ def cmd_contract_trace(args) -> int:
 
 
 def cmd_chain_sim(args) -> int:
-    scenario = load_scenario(args.scenario)
-    tasks = [t for t in scenario.tasks if t.kind == "chain_sim"] or [TaskSpec("chain_sim", {})]
+    scenario, tasks = _file_tasks(args, "chain_sim")
+    tasks = tasks or (TaskSpec("chain_sim", {}),)
     overrides = {} if args.runs is None else {"runs": args.runs}
     if args.trace:
         overrides["trace"] = True
@@ -149,8 +152,7 @@ def cmd_chain_sim(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
-    tasks = tuple(t for t in scenario.tasks if t.kind == "sweep")
+    scenario, tasks = _file_tasks(args, "sweep")
     if not tasks:
         raise ScenarioError("scenario has no sweep task")
     return _run_tasks(scenario, tasks, args)

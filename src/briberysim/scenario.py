@@ -22,10 +22,12 @@ import csv
 import io
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
 from .chainsim import (
@@ -63,27 +65,8 @@ from .seeding import derive_seed
 SCHEMA_VERSION = 1
 # the top-level keys of a scenario file; any other key is a load error
 SCENARIO_KEYS = ("schema_version", "name", "seed", "params", "sim", "tasks", "output_dir")
-
-# the options each task kind accepts; any other key is a load error
-TASK_OPTIONS = {
-    "verify_t1": ("instances", "n_range", "mutation"),
-    "verify_t3": ("instances", "n_range", "mutation"),
-    "verify_t4": ("instances", "n_range", "mutation"),
-    "dominance": (),
-    "cascade": ("order",),
-    "deposit_bound": (),
-    "contract_trace": ("events",),
-    "chain_sim": ("runs", "trace"),
-    "sweep": ("grid", "runs_per_cell", "horizon_slots", "consensus", "max_cells"),
-}
-TASK_KINDS = tuple(TASK_OPTIONS)
 SWEEP_AXES = ("d_m", "minion_share", "confirmations", "t")
-
-DEFAULT_INSTANCES = {"verify_t1": 1000, "verify_t3": 500, "verify_t4": 1000}
 DEFAULT_SWEEP_CELL_CAP = 512
-
-# tasks whose table is also written as a `<kind>_<index>.csv` artifact
-TABLE_ARTIFACT_KINDS = ("cascade", "contract_trace", "sweep")
 
 SWEEP_COLUMNS = (
     "cell",
@@ -181,8 +164,8 @@ def _scenario_from_doc(doc: object, base_dir: Path) -> Scenario:
         if not isinstance(entry, dict) or "kind" not in entry:
             raise ValueError(f"tasks[{index}] needs a 'kind' field")
         kind = entry["kind"]
-        if kind not in TASK_KINDS:
-            raise ValueError(f"tasks[{index}].kind {kind!r} not one of {TASK_KINDS}")
+        if not isinstance(kind, str) or kind not in TASKS:
+            raise ValueError(f"tasks[{index}].kind {kind!r} not one of {tuple(TASKS)}")
         tasks.append(TaskSpec(kind=kind, options={k: v for k, v in entry.items() if k != "kind"}))
 
     return Scenario(
@@ -216,44 +199,16 @@ def with_tasks(scenario: Scenario, tasks: tuple[TaskSpec, ...]) -> Scenario:
 
 def _parse_task(scenario: Scenario, task: TaskSpec) -> tuple:
     """The arguments `task`'s run takes, parsed from its options."""
-    opts = task.options
-    check_fields(opts, (), TASK_OPTIONS[task.kind], "options")
-    if task.kind in ("dominance", "cascade", "deposit_bound") and scenario.params is None:
-        raise ValueError("scenario has no 'params' section")
-    if task.kind == "chain_sim" and scenario.sim is None:
-        raise ValueError("scenario has no 'sim' section")
-    if task.kind in DEFAULT_INSTANCES:
-        return _verify_options(task)
-    if task.kind == "chain_sim":
-        return _chain_sim_options(opts)
-    if task.kind == "sweep":
-        return _sweep_options(opts)
-    if task.kind == "cascade":
-        order = opts.get("order")
-        if not isinstance(order, list):
-            raise ValueError("'order' must be an array of node indices")
-        return (_validate_order([parse_int(node, "'order'") for node in order], scenario.params.n),)
-    if task.kind == "contract_trace":
-        events = opts.get("events")
-        if not isinstance(events, str):
-            raise ValueError("'events' must be a path string")
-        try:
-            with open(scenario.base_dir / events, "r", encoding="utf-8") as fh:
-                replay = replay_events(fh)
-            return events, replay, replay.summary()
-        except FileNotFoundError:
-            raise ValueError(f"events file not found: {events}") from None
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"{events}: {exc}") from None
-    if task.kind == "dominance":
-        _check_enumeration_limit(scenario.params.n)
-    return ()  # dominance and deposit_bound run on the scenario's params alone
+    entry = TASKS[task.kind]
+    check_fields(task.options, (), entry.options, "options")
+    if entry.needs is not None and getattr(scenario, entry.needs) is None:
+        raise ValueError(f"scenario has no {entry.needs!r} section")
+    return entry.parse(scenario, task.options)
 
 
-def _verify_options(task: TaskSpec) -> tuple[int, tuple[int, int], str | None]:
+def _verify_options(opts: dict, default_instances: int) -> tuple[int, tuple[int, int], str | None]:
     """`instances`, `n_range` and `mutation` of a verify_t* task."""
-    opts = task.options
-    instances = parse_int(opts.get("instances", DEFAULT_INSTANCES[task.kind]), "'instances'")
+    instances = parse_int(opts.get("instances", default_instances), "'instances'")
     n_range = opts.get("n_range", list(_N_RANGE))
     if not isinstance(n_range, list) or len(n_range) != 2:
         raise ValueError(f"'n_range': expected [n_min, n_max], got {n_range!r}")
@@ -263,6 +218,41 @@ def _verify_options(task: TaskSpec) -> tuple[int, tuple[int, int], str | None]:
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"'mutation' {mutation!r} is not one of {list(MUTATIONS)}")
     return instances, n_range, mutation
+
+
+def _dominance_options(scenario: Scenario, opts: dict) -> tuple:
+    """No arguments, as the scan reads the scenario's params: checks that they are few enough."""
+    _check_enumeration_limit(scenario.params.n)
+    return ()
+
+
+def _cascade_options(scenario: Scenario, opts: dict) -> tuple[list[int]]:
+    """The deviation `order` of a cascade task, over the scenario's nodes."""
+    order = opts.get("order")
+    if not isinstance(order, list):
+        raise ValueError("'order' must be an array of node indices")
+    return (_validate_order([parse_int(node, "'order'") for node in order], scenario.params.n),)
+
+
+def _contract_trace_options(scenario: Scenario, opts: dict) -> tuple[bool, dict]:
+    """A contract_trace task's verdict and payload: its `events` log replayed and settled."""
+    events = opts.get("events")
+    if not isinstance(events, str):
+        raise ValueError("'events' must be a path string")
+    try:
+        with open(scenario.base_dir / events, "r", encoding="utf-8") as fh:
+            replay = replay_events(fh)
+        summary = replay.summary()
+    except FileNotFoundError:
+        raise ValueError(f"events file not found: {events}") from None
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{events}: {exc}") from None
+    return summary.conservation_holds(), {
+        "events": events,
+        "final_phase": replay.final_state.phase.value,
+        "final_order": replay.final_state.order.value,
+        "settlement": summary.to_payload(),
+    }
 
 
 def _chain_sim_options(opts: dict) -> tuple[int, bool]:
@@ -282,17 +272,17 @@ def _sweep_options(opts: dict) -> tuple[list[tuple], int, int, Consensus]:
             raise ValueError(f"sweep grid axis '{key}' must be a non-empty array")
         return [parse(v, f"grid.{key}") for v in values]
 
-    cells = list(
-        itertools.product(
-            axis("d_m", ["9"], parse_rational),
-            axis("minion_share", ["3/4"], parse_rational),
-            axis("confirmations", [3], lambda v, field: parse_int(v, field, minimum=1)),
-            axis("t", ["1/2"], parse_rational),
-        )
+    axes = (
+        axis("d_m", ["9"], parse_rational),
+        axis("minion_share", ["3/4"], parse_rational),
+        axis("confirmations", [3], lambda v, field: parse_int(v, field, minimum=1)),
+        axis("t", ["1/2"], parse_rational),
     )
     cap = parse_int(opts.get("max_cells", DEFAULT_SWEEP_CELL_CAP), "'max_cells'", minimum=1)
-    if len(cells) > cap:
-        raise ValueError(f"sweep has {len(cells)} cells, exceeding the cap 'max_cells' = {cap}")
+    size = math.prod(len(values) for values in axes)  # checked before any cell is built
+    if size > cap:
+        raise ValueError(f"sweep has {size} cells, exceeding the cap 'max_cells' = {cap}")
+    cells = list(itertools.product(*axes))
     runs_per_cell = parse_int(opts.get("runs_per_cell", 100), "'runs_per_cell'", minimum=1)
     horizon = parse_int(opts.get("horizon_slots", 2000), "'horizon_slots'", minimum=1)
     consensus = parse_consensus(opts.get("consensus", Consensus.POW_LONGEST_CHAIN), "'consensus'")
@@ -356,40 +346,11 @@ def table_csv(task: TaskResult) -> str:
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    result = task.payload
-    if task.kind == "cascade":
-        n = len(result["initial_payoffs"])
-        writer.writerow(["step", "deviating_set", *[f"payoff_{i}" for i in range(n)], "monotone"])
-        writer.writerow([0, "", *result["initial_payoffs"], True])
-        for step in result["steps"]:
-            writer.writerow(
-                [
-                    step["step"],
-                    ";".join(str(i) for i in step["deviating_set"]),
-                    *step["payoffs"],
-                    step["deviator_monotone"],
-                ]
-            )
-    elif task.kind == "contract_trace":
-        settlement = result["settlement"]
-        writer.writerow(["node", "kind", "amount"])
-        for node, amount in settlement["payouts"].items():
-            writer.writerow([node, "payout", amount])
-        for node, amount in settlement["burned_deposits"].items():
-            writer.writerow([node, "burned", amount])
-        writer.writerow(["magnate", "residual", settlement["residual_to_magnate"]])
-    elif task.kind == "sweep":
-        writer.writerow(SWEEP_COLUMNS)
-        for row in result["rows"]:
-            writer.writerow([row.get(column, "") for column in SWEEP_COLUMNS])
-    elif task.kind == "chain_sim":
-        writer.writerow(["runs", "successes", "success_rate", "success_rate_decimal"])
-        writer.writerow(
-            [result["runs"], result["successes"], result["success_rate"], result["success_rate_decimal"]]
-        )
+    table = TASKS[task.kind].table
+    if table is None:
+        writer.writerows([["kind", "index", "passed"], [task.kind, task.index, task.passed]])
     else:
-        writer.writerow(["kind", "index", "passed"])
-        writer.writerow([task.kind, task.index, task.passed])
+        writer.writerows(table(task.payload))
     return buffer.getvalue()
 
 
@@ -427,8 +388,9 @@ def run_scenario(
     report = RunReport(scenario_name=scenario.name, seed=seed, tool_version=__version__)
     started = time.perf_counter()
     for index, task in enumerate(scenario.tasks):
-        result = _run_task(scenario, task, index, seed, out)
-        if out is not None and task.kind in TABLE_ARTIFACT_KINDS:
+        entry = TASKS[task.kind]
+        result = TaskResult(task.kind, index, *entry.run(scenario, task, index, seed, out))
+        if out is not None and entry.artifact:
             name = f"{task.kind}_{index}.csv"
             _write(out / name, table_csv(result))
             result = replace(result, artifacts=(*result.artifacts, name))
@@ -439,60 +401,48 @@ def run_scenario(
     return report
 
 
-def _run_task(
-    scenario: Scenario, task: TaskSpec, index: int, seed: int, out: Path | None
-) -> TaskResult:
-    params = scenario.params  # not None for the tasks that read it (_parse_task)
+def _run_verify(scenario: Scenario, task: TaskSpec, index: int, seed: int, out: Path | None):
+    instances, n_range, mutation = task.args
+    theorem = task.kind.removeprefix("verify_").upper()
+    task_seed = derive_seed(seed, "task", index)
+    verification = verify_theorem(theorem, task_seed, instances, n_range, mutation=mutation)
+    return verification.all_passed, verification.to_payload()
 
-    if task.kind in DEFAULT_INSTANCES:
-        theorem = task.kind.removeprefix("verify_").upper()
-        instances, n_range, mutation = task.args
-        task_seed = derive_seed(seed, "task", index)
-        verification = verify_theorem(theorem, task_seed, instances, n_range, mutation=mutation)
-        return TaskResult(task.kind, index, verification.all_passed, verification.to_payload())
 
-    if task.kind == "dominance":
-        dominance = check_weak_dominance_game1(params)
-        return TaskResult(task.kind, index, dominance.weakly_dominates, dominance.to_payload())
+def _run_dominance(scenario: Scenario, task: TaskSpec, index: int, seed: int, out: Path | None):
+    dominance = check_weak_dominance_game1(scenario.params)
+    return dominance.weakly_dominates, dominance.to_payload()
 
-    if task.kind == "cascade":
-        trace = find_deviation_cascade(params, *task.args)
-        return TaskResult(task.kind, index, trace.all_monotone, trace.to_payload())
 
-    if task.kind == "deposit_bound":
-        bound = deposit_bound(params)
-        payload = {
-            "deposit_bound": format_rational(bound),
-            "bound_is_exclusive": True,
-            "bound_attained": deposit_bound_attained(params),
-            "check_above_bound": verify_deposit_bound(params, bound + 1).to_payload(),
-            "check_at_bound": verify_deposit_bound(params, bound).to_payload(),
-        }
-        return TaskResult(task.kind, index, _check_t2(params) is None, payload)
+def _run_cascade(scenario: Scenario, task: TaskSpec, index: int, seed: int, out: Path | None):
+    trace = find_deviation_cascade(scenario.params, *task.args)
+    return trace.all_monotone, trace.to_payload()
 
-    if task.kind == "contract_trace":
-        events, replay, summary = task.args
-        payload = {
-            "events": events,
-            "final_phase": replay.final_state.phase.value,
-            "final_order": replay.final_state.order.value,
-            "settlement": summary.to_payload(),
-        }
-        return TaskResult(task.kind, index, summary.conservation_holds(), payload)
 
-    if task.kind == "chain_sim":
-        runs, trace = task.args
-        first, payload = _seeded_runs(scenario.sim, seed, 0, runs, trace)
-        payload["first_run"] = first.result.to_payload()
-        if not trace:
-            return TaskResult(task.kind, index, None, payload)
-        buffer = io.StringIO()
-        trace_to_csv(first.trace, buffer)
-        name = f"chain_trace_{index}.csv"
-        _write(out / name, buffer.getvalue())  # run_scenario checked that `out` is set
-        return TaskResult(task.kind, index, None, payload, (name,))
+def _run_deposit_bound(scenario: Scenario, task: TaskSpec, index: int, seed: int, out: Path | None):
+    params = scenario.params
+    bound = deposit_bound(params)
+    payload = {
+        "deposit_bound": format_rational(bound),
+        "bound_is_exclusive": True,
+        "bound_attained": deposit_bound_attained(params),
+        "check_above_bound": verify_deposit_bound(params, bound + 1).to_payload(),
+        "check_at_bound": verify_deposit_bound(params, bound).to_payload(),
+    }
+    return _check_t2(params) is None, payload
 
-    return _run_sweep(task, index, seed)
+
+def _run_chain_sim(scenario: Scenario, task: TaskSpec, index: int, seed: int, out: Path | None):
+    runs, trace = task.args
+    first, payload = _seeded_runs(scenario.sim, seed, 0, runs, trace)
+    payload["first_run"] = first.result.to_payload()
+    if not trace:
+        return None, payload
+    buffer = io.StringIO()
+    trace_to_csv(first.trace, buffer)
+    name = f"chain_trace_{index}.csv"
+    _write(out / name, buffer.getvalue())  # run_scenario checked that `out` is set
+    return None, payload, (name,)
 
 
 def _seeded_runs(config: SimConfig, seed: int, stream: int, runs: int, trace: bool = False):
@@ -517,7 +467,7 @@ def _seeded_runs(config: SimConfig, seed: int, stream: int, runs: int, trace: bo
     }
 
 
-def _run_sweep(task: TaskSpec, index: int, seed: int) -> TaskResult:
+def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int, out: Path | None):
     """Parameter sweep over bribe pool, minion share, confirmations, threshold.
 
     Each cell synthesizes a 4-node network (two minions and two honest
@@ -573,5 +523,66 @@ def _run_sweep(task: TaskSpec, index: int, seed: int) -> TaskResult:
             deposit_bound=format_rational(deposit_bound(candidate)),
         )
 
-    payload = {"cells": len(cells), "runs_per_cell": runs_per_cell, "rows": rows}
-    return TaskResult("sweep", index, None, payload)
+    return None, {"cells": len(cells), "runs_per_cell": runs_per_cell, "rows": rows}
+
+
+def _cascade_table(result: dict):
+    n = len(result["initial_payoffs"])
+    yield ["step", "deviating_set", *[f"payoff_{i}" for i in range(n)], "monotone"]
+    yield [0, "", *result["initial_payoffs"], True]
+    for step in result["steps"]:
+        deviating = ";".join(str(i) for i in step["deviating_set"])
+        yield [step["step"], deviating, *step["payoffs"], step["deviator_monotone"]]
+
+
+def _contract_trace_table(result: dict):
+    settlement = result["settlement"]
+    yield ["node", "kind", "amount"]
+    for node, amount in settlement["payouts"].items():
+        yield [node, "payout", amount]
+    for node, amount in settlement["burned_deposits"].items():
+        yield [node, "burned", amount]
+    yield ["magnate", "residual", settlement["residual_to_magnate"]]
+
+
+def _chain_sim_table(result: dict):
+    columns = ("runs", "successes", "success_rate", "success_rate_decimal")
+    return [columns, [result[column] for column in columns]]
+
+
+def _sweep_table(result: dict):
+    return [SWEEP_COLUMNS, *([row.get(column, "") for column in SWEEP_COLUMNS] for row in result["rows"])]
+
+
+class TaskKind(NamedTuple):
+    """All there is to one task kind, so that adding a kind is adding one `TASKS` entry."""
+
+    options: tuple[str, ...]  # the option keys it accepts; any other is a load error
+    needs: str | None  # the scenario section it reads, "params" or "sim", or None
+    parse: Callable[[Scenario, dict], tuple]  # (scenario, options) -> the `TaskSpec.args` of its run
+    run: Callable[..., tuple]  # (scenario, task, index, seed, out) -> passed, payload[, artifacts]
+    table: Callable[[dict], Iterable] | None = None  # payload -> CSV rows; None: `kind,index,passed`
+    artifact: bool = False  # write the table as `<kind>_<index>.csv` under the output directory
+
+
+_VERIFY_OPTIONS = ("instances", "n_range", "mutation")
+_SWEEP_OPTIONS = ("grid", "runs_per_cell", "horizon_slots", "consensus", "max_cells")
+# Entries call the option parsers and `replay_events` by their module names, so
+# a test that patches one of those names sees every call.
+TASKS = {
+    "verify_t1": TaskKind(_VERIFY_OPTIONS, None, lambda _, opts: _verify_options(opts, 1000), _run_verify),
+    "verify_t3": TaskKind(_VERIFY_OPTIONS, None, lambda _, opts: _verify_options(opts, 500), _run_verify),
+    "verify_t4": TaskKind(_VERIFY_OPTIONS, None, lambda _, opts: _verify_options(opts, 1000), _run_verify),
+    "dominance": TaskKind((), "params", _dominance_options, _run_dominance),
+    "cascade": TaskKind(("order",), "params", _cascade_options, _run_cascade, _cascade_table, artifact=True),
+    "deposit_bound": TaskKind((), "params", lambda _, opts: (), _run_deposit_bound),
+    "contract_trace": TaskKind(("events",), None, _contract_trace_options,
+                               lambda scenario, task, *_: task.args, _contract_trace_table, artifact=True),
+    "chain_sim": TaskKind(("runs", "trace"), "sim", lambda _, opts: _chain_sim_options(opts),
+                          _run_chain_sim, _chain_sim_table),
+    "sweep": TaskKind(_SWEEP_OPTIONS, None, lambda _, opts: _sweep_options(opts),
+                      _run_sweep, _sweep_table, artifact=True),
+}
+TASK_OPTIONS = {kind: entry.options for kind, entry in TASKS.items()}
+TASK_KINDS = tuple(TASKS)
+TABLE_ARTIFACT_KINDS = tuple(kind for kind, entry in TASKS.items() if entry.artifact)

@@ -6,17 +6,28 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import briberysim.scenario as scenario_module
-from briberysim import ScenarioError, load_scenario, run_scenario
+from briberysim import (
+    Consensus,
+    PowerDistribution,
+    ScenarioError,
+    SimConfig,
+    load_scenario,
+    run_attack_detailed,
+    run_scenario,
+)
 from briberysim.cli import main
 from briberysim.rational import decode_json
 from briberysim.scenario import TABLE_ARTIFACT_KINDS, TASK_KINDS, TASK_OPTIONS, report_json
+from briberysim.seeding import derive_seed
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPO_SCENARIOS = REPO_ROOT / "scenarios"
@@ -592,6 +603,56 @@ class TestSweep:
         with pytest.raises(ScenarioError, match="cap"):
             run_scenario(load_scenario(file))
 
+    def test_cell_cap_checked_before_any_cell_is_built(self, tmp_path):
+        # 25 values on each axis make 390,625 cells: building them first would
+        # take tens of MB, and a grid of a few KB could ask for any number
+        values = [f"{i}/26" for i in range(1, 26)]
+        grid = {"d_m": values, "minion_share": values, "confirmations": list(range(1, 26)), "t": values}
+        file = write_scenario(tmp_path, tasks=[{"kind": "sweep", "grid": grid}])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError) as raised:
+                load_scenario(file)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value).endswith("sweep has 390625 cells, exceeding the cap 'max_cells' = 512")
+        assert peak < 2_000_000
+
+    def test_cell_c_draws_from_sim_run_stream_c(self, tmp_path):
+        # four identical cells whose races are undecided: each row counts the
+        # successes of runs seeded derive_seed(seed, "sim-run", c, r), and the
+        # rows differ, so no cell may read another cell's stream
+        runs, horizon = 20, 300
+        sweep = {
+            "kind": "sweep",
+            "grid": {"minion_share": ["1/4"] * 4, "confirmations": [1]},
+            "runs_per_cell": runs,
+            "horizon_slots": horizon,
+        }
+        scenario = load_scenario(write_scenario(tmp_path, tasks=[sweep]))
+        rows = run_scenario(scenario).tasks[0].payload["rows"]
+        eighth = Fraction(1, 8)
+        config = SimConfig(
+            powers=PowerDistribution((eighth, eighth, 3 * eighth, 3 * eighth)),
+            minions=frozenset({0, 1}),
+            consensus=Consensus.POW_LONGEST_CHAIN,
+            confirmations=1,
+            horizon_slots=horizon,
+            rng_seed=0,
+        )
+        direct = [
+            sum(
+                run_attack_detailed(
+                    replace(config, rng_seed=derive_seed(scenario.seed, "sim-run", cell, run))
+                ).result.success
+                for run in range(runs)
+            )
+            for cell in range(4)
+        ]
+        assert [row["successes"] for row in rows] == direct
+        assert len(set(direct)) == 4
+
     def test_derived_columns(self, tmp_path):
         file = write_scenario(
             tmp_path,
@@ -871,6 +932,53 @@ class TestCli:
         assert main(["verify", str(file), "--seed", "123", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 123
+
+
+class TestTaskTable:
+    """A task kind is one `TASKS` entry: a kind added there, with no other
+    edit, loads, runs, writes its artifact and fails as the built-in kinds do."""
+
+    @pytest.fixture(autouse=True)
+    def echo_kind(self, monkeypatch):
+        kind = scenario_module.TaskKind(
+            options=("word",),
+            needs="params",
+            parse=lambda scenario, opts: (str(opts.get("word", "hello")),),
+            run=lambda scenario, task, index, seed, out: (True, {"word": task.args[0], "n": scenario.params.n}),
+            table=lambda payload: [["word", "n"], [payload["word"], payload["n"]]],
+            artifact=True,
+        )
+        monkeypatch.setitem(scenario_module.TASKS, "echo", kind)
+
+    def test_runs_with_its_artifact_and_report_entry(self, tmp_path):
+        file = write_scenario(tmp_path, tasks=[{"kind": "echo", "word": "hi"}])
+        out = tmp_path / "out"
+        assert main(["verify", str(file), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["tasks"] == [
+            {"kind": "echo", "index": 0, "passed": True, "artifacts": ["echo_0.csv"],
+             "result": {"word": "hi", "n": 3}}
+        ]
+        assert (out / "echo_0.csv").read_bytes() == b"word,n\r\nhi,3\r\n"
+
+    def test_csv_format_prints_its_table(self, tmp_path, capsys):
+        file = write_scenario(tmp_path, tasks=[{"kind": "echo"}])
+        assert main(["verify", str(file), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "word,n\r\nhello,3\r\n"
+
+    def test_unknown_option_exits_2_naming_it(self, tmp_path, capsys):
+        file = write_scenario(tmp_path, tasks=[{"kind": "echo", "words": "hi"}])
+        assert main(["verify", str(file)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: tasks[0] (echo): options: unknown field 'words'; fields: ['word']\n"
+
+    def test_missing_section_exits_2_as_for_a_built_in_kind(self, tmp_path, capsys):
+        errors = []
+        for kind in ("echo", "dominance"):
+            file = write_scenario(tmp_path, params=None, tasks=[{"kind": kind}])
+            assert main(["verify", str(file)]) == 2
+            errors.append(capsys.readouterr().err.replace(kind, "<kind>"))
+        assert errors == ["error: tasks[0] (<kind>): scenario has no 'params' section\n"] * 2
 
 
 def outside_parentheses(text: str) -> str:
