@@ -34,7 +34,7 @@ from typing import Iterable, Mapping
 
 from .games import NodeId, PowerDistribution
 from .rational import check_fields, decode_json, format_rational, parse_bool, parse_int
-from .rational import parse_rational, parse_rational_list
+from .rational import parse_rational, parse_rational_list, shorten
 
 
 class ContractError(ValueError):
@@ -293,8 +293,10 @@ def oracle_from_payload(doc: dict) -> OracleReport:
         raise ValueError("executed_protocol: expected an object of node -> protocol")
     executed = {}
     for key, value in entries.items():
-        if not (key.isascii() and key.isdigit() and key == str(int(key))):
-            raise ValueError(f"executed_protocol: key {key!r} is not a node index")
+        # a node index as str() writes it ("00" names no node), checked before
+        # int(): a key past 18 digits names no node and may pass int()'s digit limit
+        if not (key.isascii() and key.isdigit() and len(key) <= 18 and (key[0] != "0" or key == "0")):
+            raise ValueError(f"executed_protocol: key {shorten(key)!r} is not a node index")
         try:
             executed[int(key)] = Protocol(value)
         except ValueError:

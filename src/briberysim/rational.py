@@ -5,6 +5,8 @@ threshold itself, rewards, deposits) are kept as `fractions.Fraction` and
 serialized as strings like "7/20" so that no precision is lost on a
 round trip. Every JSON input, scenario file and event log alike, is decoded
 by `decode_json`, so a JSON number means its decimal value everywhere.
+Rational strings and JSON numbers are read by one ASCII grammar, `_RATIONAL`,
+the same on every interpreter, and built with `int()` and `Fraction(int, int)`.
 """
 
 from __future__ import annotations
@@ -22,37 +24,49 @@ def _reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-# a decimal exponent has at most this many digits: Fraction builds the whole
-# integer 10**exponent, so 1e1000000 alone takes a third of a second and each
-# further digit about thirty times longer
+# a rational string, the same on every interpreter: a sign, then an integer
+# ratio ("-7/20") or a decimal with at least one digit ("0.25", ".5", "1.")
+# and an optional exponent ("5e-1"); ASCII digits only, no spaces or
+# underscores. A JSON number with a fraction or an exponent is such a decimal.
+_RATIONAL = re.compile(r"([-+]?(?=\.?[0-9])[0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?)")
+
+# a decimal exponent has at most this many digits: its value is built with
+# the whole integer 10**exponent, so 1e1000000 alone would take a third of a
+# second and each further digit about thirty times longer
 _MAX_EXPONENT_DIGITS = 3
 
 
-def _check_exponent(text: str, field: str | None) -> None:
-    """Reject a number whose decimal exponent lies outside -999..999 before
-    Fraction reads it: `text` is a JSON number's raw text (`field` None) or
-    the rational string given for `field`."""
-    exponent = text.lower().partition("e")[2].rstrip().replace("_", "")
-    if not exponent.isascii():
-        # Fraction reads any decimal digit; spelt in ASCII, leading zeros strip
-        exponent = "".join(str(int(c)) if c.isdecimal() else c for c in exponent)
-    digits = exponent.lstrip("+-")
-    if len(digits.lstrip("0")) > _MAX_EXPONENT_DIGITS and digits.isdecimal():
-        shown = text if len(text) <= 20 else text[:20] + "..."
-        what = f"number {shown}" if field is None else f"{field}: rational string {shown!r}"
-        bound = 10**_MAX_EXPONENT_DIGITS - 1
-        raise ValueError(f"{what} has a decimal exponent outside -{bound}..{bound}")
+def shorten(text: str) -> str:
+    """`text` as an error message shows it: its first 20 characters, then `...`."""
+    return text if len(text) <= 20 else text[:20] + "..."
 
 
-def _decimal(text: str) -> Fraction:
-    """A JSON number with a fraction or an exponent, exactly."""
-    _check_exponent(text, None)
-    return Fraction(text)
+def _read(text: str, field: str | None = None) -> Fraction:
+    """`text` read by `_RATIONAL` and built from integers: a JSON number's raw
+    text (`field` None) or the rational string given for `field`."""
+    match = _RATIONAL.fullmatch(text)
+    if match is not None:
+        whole, denominator, decimals, exponent = match.groups()
+        if exponent is not None and len(exponent.lstrip("+-").lstrip("0")) > _MAX_EXPONENT_DIGITS:
+            shown = shorten(text)
+            what = f"number {shown}" if field is None else f"{field}: rational string {shown!r}"
+            bound = 10**_MAX_EXPONENT_DIGITS - 1
+            raise ValueError(f"{what} has a decimal exponent outside -{bound}..{bound}")
+        try:
+            if denominator is not None:
+                return Fraction(int(whole), int(denominator))
+            decimals = decimals or ""
+            digits, shift = int(whole + decimals), int(exponent or 0) - len(decimals)
+            return Fraction(digits * 10**shift) if shift >= 0 else Fraction(digits, 10**-shift)
+        except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or a zero denominator
+            if field is None:
+                raise
+    raise ValueError(f"{field}: not a rational string: {shorten(text)!r}")
 
 
 # built once: `json.loads(text, **kwargs)` would build a decoder per call;
 # parse_float receives the raw text, so 0.55 becomes exactly 11/20
-_DECODER = json.JSONDecoder(parse_float=_decimal, object_pairs_hook=_reject_repeated_keys)
+_DECODER = json.JSONDecoder(parse_float=_read, object_pairs_hook=_reject_repeated_keys)
 
 
 def decode_json(data: str | bytes) -> object:
@@ -68,33 +82,17 @@ def decode_json(data: str | bytes) -> object:
         raise ValueError(f"invalid JSON: {exc}") from None
 
 
-# the form format_rational writes: "3", "-63/20"; ASCII digits only
-_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
 def parse_rational(value: object, field: str = "value") -> Fraction:
     """Parse a rational from a JSON-decoded value.
 
-    Accepts rational strings ("7/20", "3", "-0.25"), ints, and Fractions.
-    Floats are rejected: a JSON number like 0.55 keeps its decimal meaning
-    only when decoded by `decode_json`. This is where input becomes a
-    Fraction: a string is read as `Fraction(str)` reads it, but one in
-    canonical form is built from its two integers, and a decimal exponent
-    outside -999..999 is rejected.
+    Accepts rational strings ("7/20", "3", "-0.25", ".5", "5e-1"), ints, and
+    Fractions. Floats are rejected: a JSON number like 0.55 keeps its decimal
+    meaning only when decoded by `decode_json`. This is where input becomes a
+    Fraction: a string is read by `_RATIONAL`, and a zero denominator, a
+    decimal exponent outside -999..999 or int()'s digit limit rejects it.
     """
     if isinstance(value, str):
-        canonical = _CANONICAL.fullmatch(value)
-        # a zero denominator ("3/00") is left to Fraction(str), which rejects it
-        if canonical is not None and (canonical[2] is None or canonical[2].strip("0")):
-            try:
-                return Fraction(int(canonical[1]), int(canonical[2] or 1))
-            except ValueError:  # past int()'s digit limit: Fraction(str) below rejects it by name
-                pass
-        _check_exponent(value, field)
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{field}: not a rational string: {value!r}") from exc
+        return _read(value, field)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):

@@ -579,6 +579,19 @@ class TestEventLogReplay:
         message = "event log line 4: executed_protocol: key '00' is not a node index"
         assert capsys.readouterr().err == f"error: tasks[0] (contract_trace): events.jsonl: {message}\n"
 
+    @pytest.mark.parametrize(
+        "key", ["1" * 5000, "1" * 19, "٠"], ids=["past-int-digit-limit", "19-digits", "arabic-indic"]
+    )
+    def test_oracle_node_key_past_an_index_names_the_field(self, key):
+        fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
+        lines = fixture.read_text(encoding="utf-8").splitlines()
+        assert lines[4].count('"1": "malicious"') == 1
+        lines[4] = lines[4].replace('"1": "malicious"', f'"{key}": "malicious"')
+        with pytest.raises(ValueError) as raised:
+            replay_events(lines)
+        shown = key if len(key) <= 20 else key[:20] + "..."
+        assert str(raised.value) == f"event log line 5: executed_protocol: key {shown!r} is not a node index"
+
     def test_blank_lines_skipped(self):
         fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
         lines = fixture.read_text(encoding="utf-8").splitlines()
