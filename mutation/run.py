@@ -9,9 +9,10 @@ must do with the result:
                 for the reason the entry gives.
 
 For each mutant, one at a time, the runner copies `src/`, `tests/`,
-`scenarios/`, `pyproject.toml` and `README.md` (a test checks its options
-table) to a temporary directory, applies the one replacement there and
-runs `python -m pytest -x -q -p no:cacheprovider tests`.
+`scenarios/`, `tools/` (a test runs `bench_summary.py`), `pyproject.toml`
+and `README.md` (a test checks its options table) to a temporary
+directory, applies the one replacement there and runs
+`python -m pytest -x -q -p no:cacheprovider tests`.
 The unmutated copy is run first and must pass, so a broken suite cannot
 pass for a killed mutant. Stdlib only:
 
@@ -35,7 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = Path(__file__).resolve().parent / "mutants.json"
-COPIED_DIRS = ("src", "tests", "scenarios")
+COPIED_DIRS = ("src", "tests", "scenarios", "tools")
 COPIED_FILES = ("pyproject.toml", "README.md")
 PYTEST = ("-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests")
 TIMEOUT_S = 600  # a mutant still running after this long counts as killed

@@ -3,6 +3,12 @@
 Exact-rational game analysis (strict Nash checks, weak dominance, deviation
 cascades, deposit bounds), an executable bribery-contract state machine,
 and seeded double-spend chain simulations, driven by JSON scenarios.
+
+Result records are NamedTuples; a dataclass only where `replace`/`fields`/
+`__post_init__` is used (the configs callers rebuild with
+`dataclasses.replace`, the types that check their fields on construction,
+and the mutable `RunReport`). A record compares equal to a tuple with the
+same fields.
 """
 
 __version__ = "0.1.0"

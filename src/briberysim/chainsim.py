@@ -63,17 +63,19 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, count
 from operator import indexOf, sub
 from struct import unpack_from
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .games import NodeId, PowerDistribution
-from .rational import check_fields, format_rational, parse_int, parse_rational, parse_rational_list
+from .rational import as_fraction, check_fields, format_rational, parse_int, parse_rational
+from .rational import parse_rational_list
 
 
 class Consensus(Enum):
@@ -93,7 +95,7 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "minions", frozenset(self.minions))
-        object.__setattr__(self, "threshold_t", Fraction(self.threshold_t))
+        object.__setattr__(self, "threshold_t", as_fraction(self.threshold_t, "sim config: threshold_t"))
         if not self.powers.is_normalized():
             raise ValueError("sim config: powers must be positive and sum to exactly 1")
         if self.confirmations < 1:
@@ -104,8 +106,7 @@ class SimConfig:
             raise ValueError("sim config: minions must be node indices")
 
 
-@dataclass(frozen=True)
-class AttackResult:
+class AttackResult(NamedTuple):
     success: bool
     slots_elapsed: int
     fork_length: int
@@ -113,7 +114,7 @@ class AttackResult:
     per_node_blocks_canonical: dict[NodeId, int]
     consensus: Consensus
     slashing_proofs_censored: int = 0
-    double_signs: dict[NodeId, int] = field(default_factory=dict)
+    double_signs: Mapping[NodeId, int] = MappingProxyType({})  # read-only, so sharing it is safe
 
     def to_payload(self) -> dict:
         return {
@@ -135,8 +136,7 @@ class AttackResult:
 TRACE_COLUMNS = ("slot", "producer", "chain", "height", "event")
 
 
-@dataclass(frozen=True)
-class SimRun:
+class SimRun(NamedTuple):
     result: AttackResult
     trace: tuple[tuple[int, NodeId, str, int, str], ...]
 
@@ -151,7 +151,7 @@ def catch_up_probability(minion_share: Fraction, deficit: int) -> Fraction:
     the fork starts `confirmations` blocks behind and must end strictly
     ahead, so winning means closing a deficit of confirmations + 1.
     """
-    minion_share = Fraction(minion_share)
+    minion_share = as_fraction(minion_share, "minion_share")
     if deficit < 0:
         raise ValueError("deficit must be >= 0")
     if minion_share >= Fraction(1, 2):
@@ -201,7 +201,18 @@ def _slot_tables(weights: tuple[int, ...], minions: frozenset[NodeId]):
 
 def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun:
     """Run one seeded attack simulation, optionally keeping the per-slot trace
-    (one row per slot, a plain tuple in `TRACE_COLUMNS` order).
+    (one row per slot, a plain tuple in `TRACE_COLUMNS` order)."""
+    return _race(config, config.rng_seed, record_trace)
+
+
+def run_attack(config: SimConfig) -> AttackResult:
+    """Run one seeded attack simulation; deterministic in the config."""
+    return _race(config, config.rng_seed, False).result
+
+
+def _race(config: SimConfig, rng_seed: int, record_trace: bool) -> SimRun:
+    """The race of `config` on the stream of `rng_seed`, which stands in for
+    `config.rng_seed`: runs that differ only in their seed share one config.
 
     The race needs only height counters. The payment lands in slot 0 at
     height 1 and gets its k-th confirmation in slot k-1, the trigger, where
@@ -222,8 +233,7 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
     censored the fork blocks after the last honest one, and the trace one row
     per slot.
     """
-    rng = random.Random(config.rng_seed)
-    getrandbits = rng.getrandbits
+    getrandbits = random.Random(rng_seed).getrandbits
     n = config.powers.n
     boundaries, buckets, flag_table, is_minion, counted_minions = _slot_tables(
         config.powers.weights, config.minions
@@ -338,11 +348,6 @@ def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun
         double_signs=double_signs,
     )
     return SimRun(result=result, trace=tuple(trace))
-
-
-def run_attack(config: SimConfig) -> AttackResult:
-    """Run one seeded attack simulation; deterministic in the config."""
-    return run_attack_detailed(config, record_trace=False).result
 
 
 def parse_consensus(value: object, field: str) -> Consensus:

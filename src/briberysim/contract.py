@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .games import NodeId, PowerDistribution
 from .rational import check_fields, decode_json, format_rational, parse_bool, parse_int
@@ -70,8 +70,7 @@ class ContractConfig:
     powers: PowerDistribution
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Trusted report of the attack outcome and per-minion execution."""
 
     attack_successful: bool
@@ -184,8 +183,7 @@ def contract_distribute(
     return ContractState(state.config, state.minions, settlements, state.clock), outcome
 
 
-@dataclass(frozen=True)
-class SettlementSummary:
+class SettlementSummary(NamedTuple):
     """Final ledger: who got what, what was burned, what returns to the magnate."""
 
     payouts: dict[NodeId, Fraction]
@@ -287,7 +285,8 @@ def config_from_payload(doc: dict) -> ContractConfig:
     )
 
 
-def oracle_from_payload(doc: dict) -> OracleReport:
+def oracle_from_payload(doc: dict, n: int) -> OracleReport:
+    """The oracle report of an `oracle_report` line, for a contract of `n` nodes."""
     entries = doc.get("executed_protocol", {})
     if not isinstance(entries, dict):
         raise ValueError("executed_protocol: expected an object of node -> protocol")
@@ -297,15 +296,17 @@ def oracle_from_payload(doc: dict) -> OracleReport:
         # int(): a key past 18 digits names no node and may pass int()'s digit limit
         if not (key.isascii() and key.isdigit() and len(key) <= 18 and (key[0] != "0" or key == "0")):
             raise ValueError(f"executed_protocol: key {shorten(key)!r} is not a node index")
+        node = int(key)
+        if node >= n:
+            raise ValueError(f"executed_protocol: key {key!r} is not a node of this contract ({n} nodes)")
         try:
-            executed[int(key)] = Protocol(value)
+            executed[node] = Protocol(value)
         except ValueError:
             raise ValueError(f"executed_protocol[{key!r}]: {value!r} is not a protocol") from None
     return OracleReport(parse_bool(doc["attack_successful"], "attack_successful"), executed)
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     final_state: ContractState
     outcomes: tuple[tuple[NodeId, SettlementOutcome], ...]
 
@@ -349,7 +350,7 @@ def replay_events(lines: Iterable[str]) -> ReplayResult:
             elif kind == "advance_clock":
                 state = advance_clock(state, parse_int(event["to"], "to"))
             elif kind == "oracle_report":
-                oracle = oracle_from_payload(event)
+                oracle = oracle_from_payload(event, state.config.powers.n)
             else:
                 if oracle is None:
                     raise ValueError("distribute before any oracle_report")

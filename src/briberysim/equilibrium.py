@@ -27,7 +27,6 @@ opponent profiles per node, which caps it at ENUMERATION_LIMIT nodes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -46,7 +45,7 @@ from .games import (
     params_to_json_dict,
     payoff_vector,
 )
-from .rational import format_rational, format_rational_list
+from .rational import as_fraction, format_rational, format_rational_list
 from .seeding import derive_seed
 
 ENUMERATION_LIMIT = 12  # 2^12 opponent profiles per node is the largest exhaustive scan
@@ -56,8 +55,7 @@ class EnumerationLimitError(ValueError):
     """Requested an exhaustive scan over more nodes than the configured cap."""
 
 
-@dataclass(frozen=True)
-class Deviation:
+class Deviation(NamedTuple):
     """A profitable-or-breaking-even unilateral deviation (Nash counterexample)."""
 
     node: NodeId
@@ -66,8 +64,7 @@ class Deviation:
     payoff_after: Fraction
 
 
-@dataclass(frozen=True)
-class NashReport:
+class NashReport(NamedTuple):
     is_strict_nash: bool
     counterexample: Deviation | None
     profiles_checked: int
@@ -82,36 +79,29 @@ def is_strict_nash(params: GameParams, profile: StrategyProfile) -> NashReport:
     """
     variant = profile.variant
     w_h, w_opposing = _weight_split(params, profile)
-    honest, opposing = _payoff_rule(params, variant, w_h, w_opposing)
-    checked = 1
+    rule = _payoff_rule
+    honest, opposing = rule(params, variant, w_h, w_opposing)
+    honest_choice, to_opposing = Strategy.HONEST, opposing_strategy(variant)
     for node, (choice, w) in enumerate(zip(profile.choices, params.weights)):
-        checked += 1
-        if choice is Strategy.HONEST:
+        if choice is honest_choice:
             before = honest[node]
-            flipped_strategy = opposing_strategy(variant)
-            after = _payoff_rule(params, variant, w_h - w, w_opposing + w)[1][node]
+            after = rule(params, variant, w_h - w, w_opposing + w)[1][node]
         else:
             before = opposing[node]
-            flipped_strategy = Strategy.HONEST
-            after = _payoff_rule(params, variant, w_h + w, w_opposing - w)[0][node]
+            after = rule(params, variant, w_h + w, w_opposing - w)[0][node]
         if after >= before:
-            return NashReport(
-                is_strict_nash=False,
-                counterexample=Deviation(node, flipped_strategy, before, after),
-                profiles_checked=checked,
-            )
-    return NashReport(is_strict_nash=True, counterexample=None, profiles_checked=checked)
+            flipped = to_opposing if choice is honest_choice else honest_choice
+            return NashReport(False, Deviation(node, flipped, before, after), node + 2)
+    return NashReport(True, None, len(profile.choices) + 1)
 
 
-@dataclass(frozen=True)
-class NodeDominance:
+class NodeDominance(NamedTuple):
     node: NodeId
     never_worse: bool
     strictly_better_somewhere: bool
 
 
-@dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(NamedTuple):
     weakly_dominates: bool
     per_node: tuple[NodeDominance, ...]
     opponent_profiles_checked: int
@@ -181,8 +171,7 @@ def check_weak_dominance_game1(params: GameParams) -> DominanceReport:
     )
 
 
-@dataclass(frozen=True)
-class CascadeStep:
+class CascadeStep(NamedTuple):
     step: int
     node_flipped: NodeId
     deviating: tuple[NodeId, ...]
@@ -190,8 +179,7 @@ class CascadeStep:
     deviator_monotone: bool
 
 
-@dataclass(frozen=True)
-class CascadeTrace:
+class CascadeTrace(NamedTuple):
     """One deviation sequence: honest nodes flip to commitment one at a time."""
 
     order: tuple[NodeId, ...]
@@ -297,8 +285,7 @@ def deposit_bound_attained(params: GameParams) -> bool:
     return true_max_gap == deposit_bound(params)
 
 
-@dataclass(frozen=True)
-class DepositViolation:
+class DepositViolation(NamedTuple):
     node: NodeId
     x: Fraction  # payoff for obeying the contract's order
     y: Fraction  # payoff for disobeying, before the deposit is slashed
@@ -307,8 +294,7 @@ class DepositViolation:
         return {"node": self.node, "x": format_rational(self.x), "y": format_rational(self.y)}
 
 
-@dataclass(frozen=True)
-class DepositCheck:
+class DepositCheck(NamedTuple):
     sufficient: bool
     violation: DepositViolation | None
     pairs_checked: int
@@ -328,7 +314,7 @@ def verify_deposit_bound(params: GameParams, deposit: Fraction) -> DepositCheck:
     where x and y each range over the node's four possible rewards; the
     deposit suffices iff y - deposit < x for all 16 pairs at every node.
     """
-    deposit = Fraction(deposit)
+    deposit = as_fraction(deposit, "deposit")
     checked = 0
     for node in range(params.n):
         rewards = (
@@ -469,8 +455,7 @@ def random_game_params(
 
 # --- Theorem verification --------------------------------------------------
 
-@dataclass(frozen=True)
-class TheoremFailure:
+class TheoremFailure(NamedTuple):
     instance_index: int
     params: GameParams
     description: str
@@ -483,8 +468,7 @@ class TheoremFailure:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     theorem: str
     instances_tested: int
     all_passed: bool

@@ -43,9 +43,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 from .rational import (
+    as_fraction,
     check_fields,
     format_rational,
     format_rational_list,
@@ -85,9 +87,9 @@ class PowerDistribution:
     """Per-node voting power shares.
 
     Construction only coerces the powers to Fractions (one given as a
-    Fraction is kept as it is); whether the distribution is admissible (all
-    positive, sums to exactly 1) is a validation question answered by
-    `validate_params`.
+    Fraction is kept as it is, a string is read as `parse_rational` reads
+    it); whether the distribution is admissible (all positive, sums to
+    exactly 1) is a validation question answered by `validate_params`.
     """
 
     powers: tuple[Fraction, ...]
@@ -96,7 +98,7 @@ class PowerDistribution:
     scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        powers = tuple(p if type(p) is Fraction else Fraction(p) for p in self.powers)
+        powers = tuple(as_fraction(p, f"powers[{i}]") for i, p in enumerate(self.powers))
         scale = math.lcm(*(p.denominator for p in powers))
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "scale", scale)
@@ -144,7 +146,7 @@ class GameParams:
     t_weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = Fraction(self.threshold_t)
+        t = as_fraction(self.threshold_t, "threshold_t")
         object.__setattr__(self, "threshold_t", t)
         object.__setattr__(self, "weights", self.powers.weights)
         object.__setattr__(self, "t_weight", self.powers.threshold_weight(t))
@@ -154,7 +156,7 @@ class GameParams:
             "reward_malicious",
             "reward_deviant_vs_malicious",
         ):
-            values = tuple(Fraction(v) for v in getattr(self, name))
+            values = tuple(as_fraction(v, f"{name}[{i}]") for i, v in enumerate(getattr(self, name)))
             if len(values) != self.powers.n:
                 raise ValueError(f"{name} has {len(values)} entries for {self.powers.n} nodes")
             object.__setattr__(self, name, values)
@@ -164,8 +166,7 @@ class GameParams:
         return self.powers.n
 
 
-@dataclass(frozen=True)
-class AssumptionViolation:
+class AssumptionViolation(NamedTuple):
     """One violated model assumption, found by `validate_params`."""
 
     assumption: int
@@ -202,10 +203,13 @@ class StrategyProfile:
         return StrategyProfile(tuple(choices), self.variant)
 
 
+# a profile is frozen, so every caller can share the one built for its n
+@lru_cache(maxsize=32)
 def all_honest(n: int, variant: Variant) -> StrategyProfile:
     return StrategyProfile((Strategy.HONEST,) * n, variant)
 
 
+@lru_cache(maxsize=32)
 def all_commit(n: int) -> StrategyProfile:
     return StrategyProfile((Strategy.COMMIT,) * n, Variant.COLLUSION)
 

@@ -102,6 +102,17 @@ def parse_rational(value: object, field: str = "value") -> Fraction:
     raise ValueError(f"{field}: expected a rational string, got {type(value).__name__}")
 
 
+def as_fraction(value: object, field: str) -> Fraction:
+    """A number given to the Python API as a Fraction: a Fraction as it is, a
+    string read as `parse_rational` reads it (the same on every interpreter),
+    anything else, an int say, by `Fraction(value)`."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, str):
+        return _read(value, field)
+    return Fraction(value)
+
+
 def parse_int(value: object, field: str, minimum: int | None = None) -> int:
     """Parse a JSON integer, optionally bounded below; booleans are rejected,
     and so is a number written with a fraction or an exponent, even 1e2."""

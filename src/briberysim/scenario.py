@@ -33,8 +33,8 @@ from . import __version__
 from .chainsim import (
     Consensus,
     SimConfig,
+    _race,
     parse_consensus,
-    run_attack_detailed,
     sim_config_from_payload,
     trace_to_csv,
 )
@@ -289,8 +289,7 @@ def _sweep_options(opts: dict) -> tuple[list[tuple], int, int, Consensus]:
     return cells, runs_per_cell, horizon, consensus
 
 
-@dataclass(frozen=True)
-class TaskResult:
+class TaskResult(NamedTuple):
     kind: str
     index: int
     passed: bool | None  # None: informational task, no pass/fail meaning
@@ -393,7 +392,7 @@ def run_scenario(
         if out is not None and entry.artifact:
             name = f"{task.kind}_{index}.csv"
             _write(out / name, table_csv(result))
-            result = replace(result, artifacts=(*result.artifacts, name))
+            result = result._replace(artifacts=(*result.artifacts, name))
         report.tasks.append(result)
     report.wall_time_s = time.perf_counter() - started
     if out is not None:
@@ -451,11 +450,13 @@ def _seeded_runs(config: SimConfig, seed: int, stream: int, runs: int, trace: bo
 
     Runs draw from stream `stream` of the sim-run seed space: a chain_sim task
     is stream 0 and sweep cell c stream c, so a one-cell sweep reproduces it.
+    Each run is `config` with its own seed for `rng_seed`; the config is not
+    rebuilt per run, as the race takes the seed beside it.
     """
     successes = 0
     for run_index in range(runs):
         run_seed = derive_seed(seed, "sim-run", stream, run_index)
-        detail = run_attack_detailed(replace(config, rng_seed=run_seed), trace and run_index == 0)
+        detail = _race(config, run_seed, trace and run_index == 0)
         if run_index == 0:
             first = detail
         successes += detail.result.success
@@ -510,7 +511,7 @@ def _run_sweep(scenario: Scenario, task: TaskSpec, index: int, seed: int, out: P
             consensus=consensus,
             confirmations=conf,
             horizon_slots=horizon,
-            rng_seed=0,  # replaced per run
+            rng_seed=0,  # each run passes its own seed to the race
             threshold_t=t,
         )
         _, counts = _seeded_runs(config, seed, cell_index, runs_per_cell)

@@ -13,6 +13,6 @@ import hashlib
 
 def derive_seed(root: int, *path: int | str) -> int:
     """Derive a 64-bit child seed from a root seed and a label path."""
-    text = str(int(root)) + "".join(f"/{p}" for p in path)
+    text = "/".join((str(int(root)), *map(str, path)))
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

@@ -592,6 +592,25 @@ class TestEventLogReplay:
         shown = key if len(key) <= 20 else key[:20] + "..."
         assert str(raised.value) == f"event log line 5: executed_protocol: key {shown!r} is not a node index"
 
+    def test_oracle_node_key_outside_the_contract_exits_2(self, tmp_path, capsys):
+        fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
+        lines = fixture.read_text(encoding="utf-8").splitlines()
+        # node 2 is no minion but a node of the contract: the report may name it
+        lines[4] = lines[4].replace('"1": "malicious"', '"1": "malicious", "2": "honest"')
+        assert replay_events(lines).summary().conservation_holds()
+        for key in ("3", "7"):
+            bad = [*lines[:4], lines[4].replace('"2": "honest"', f'"{key}": "honest"'), *lines[5:]]
+            message = (
+                f"event log line 5: executed_protocol: key '{key}' is not a node of this contract (3 nodes)"
+            )
+            with pytest.raises(ValueError) as raised:
+                replay_events(bad)
+            assert str(raised.value) == message
+            events = tmp_path / "events.jsonl"
+            events.write_text("\n".join(bad) + "\n", encoding="utf-8")
+            assert main(["contract-trace", str(events)]) == 2
+            assert capsys.readouterr().err == f"error: tasks[0] (contract_trace): events.jsonl: {message}\n"
+
     def test_blank_lines_skipped(self):
         fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
         lines = fixture.read_text(encoding="utf-8").splitlines()

@@ -12,6 +12,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from briberysim import (
+    Consensus,
+    GameParams,
+    PowerDistribution,
+    SimConfig,
+    catch_up_probability,
+    verify_deposit_bound,
+)
 from briberysim.rational import decode_json, format_rational, parse_rational
 
 # digits, signs, the slash, the point, the exponent mark, underscores,
@@ -103,6 +111,36 @@ def test_rational_strings_read_the_same_on_every_interpreter(text, expected):
             parse_rational(text)
     else:
         assert format_rational(parse_rational(text)) == expected
+
+
+P3_POWERS = PowerDistribution(("2/5", "7/20", "1/4"))
+P3_REWARDS = ((2,) * 3, (-1,) * 3, (5,) * 3, (-3,) * 3)
+
+# the Python API's rational inputs: (field as its errors name it, the call with
+# the value in that field, what the call returns of it)
+API_FIELDS = [
+    ("powers[0]", lambda v: PowerDistribution((v, "1/2")).powers[0]),
+    ("threshold_t", lambda v: GameParams(P3_POWERS, v, *P3_REWARDS).threshold_t),
+    ("reward_malicious[1]", lambda v: GameParams(
+        P3_POWERS, "1/2", *P3_REWARDS[:2], (5, v, 5), P3_REWARDS[3]).reward_malicious[1]),
+    ("sim config: threshold_t", lambda v: SimConfig(
+        P3_POWERS, {0, 1}, Consensus.POS_SLASHING, 3, 10, 0, v).threshold_t),
+    ("minion_share", lambda v: catch_up_probability(v, 1)),
+    ("deposit", lambda v: verify_deposit_bound(GameParams(P3_POWERS, "1/2", *P3_REWARDS), v)),
+]
+
+
+@pytest.mark.parametrize("field, call", API_FIELDS, ids=[field for field, _ in API_FIELDS])
+@pytest.mark.parametrize("text, expected", DRIFT, ids=[repr(text) for text, _ in DRIFT])
+def test_api_strings_read_as_parse_rational_reads_them(field, call, text, expected):
+    if expected is None:
+        with pytest.raises(ValueError) as raised:
+            parse_rational(text, field)
+        with pytest.raises(ValueError) as api:
+            call(text)
+        assert str(api.value) == str(raised.value)
+    else:
+        assert call(text) == call(parse_rational(text))
 
 
 @given(st.fractions())
