@@ -202,17 +202,18 @@ def _slot_tables(weights: tuple[int, ...], minions: frozenset[NodeId]):
 def run_attack_detailed(config: SimConfig, record_trace: bool = False) -> SimRun:
     """Run one seeded attack simulation, optionally keeping the per-slot trace
     (one row per slot, a plain tuple in `TRACE_COLUMNS` order)."""
-    return _race(config, config.rng_seed, record_trace)
+    return _race(config, random.Random(config.rng_seed), record_trace)
 
 
 def run_attack(config: SimConfig) -> AttackResult:
     """Run one seeded attack simulation; deterministic in the config."""
-    return _race(config, config.rng_seed, False).result
+    return _race(config, random.Random(config.rng_seed), False).result
 
 
-def _race(config: SimConfig, rng_seed: int, record_trace: bool) -> SimRun:
-    """The race of `config` on the stream of `rng_seed`, which stands in for
-    `config.rng_seed`: runs that differ only in their seed share one config.
+def _race(config: SimConfig, rng: random.Random, record_trace: bool) -> SimRun:
+    """The race of `config` on the draws of `rng`, a generator seeded for this
+    run, which stands in for `config.rng_seed`: runs that differ only in
+    their seed share one config, and may share one generator reseeded per run.
 
     The race needs only height counters. The payment lands in slot 0 at
     height 1 and gets its k-th confirmation in slot k-1, the trigger, where
@@ -233,7 +234,7 @@ def _race(config: SimConfig, rng_seed: int, record_trace: bool) -> SimRun:
     censored the fork blocks after the last honest one, and the trace one row
     per slot.
     """
-    getrandbits = random.Random(rng_seed).getrandbits
+    getrandbits = rng.getrandbits
     n = config.powers.n
     boundaries, buckets, flag_table, is_minion, counted_minions = _slot_tables(
         config.powers.weights, config.minions

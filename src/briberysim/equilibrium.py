@@ -46,7 +46,7 @@ from .games import (
     payoff_vector,
 )
 from .rational import as_fraction, format_rational, format_rational_list
-from .seeding import derive_seed
+from .seeding import derived_seeds
 
 ENUMERATION_LIMIT = 12  # 2^12 opponent profiles per node is the largest exhaustive scan
 
@@ -342,6 +342,12 @@ MUTATION_MALICIOUS_REWARD_BELOW_HONEST = "malicious_reward_below_honest"
 MUTATIONS = (MUTATION_DEVIANT_REWARD_ABOVE_HONEST, MUTATION_MALICIOUS_REWARD_BELOW_HONEST)
 REWARD_SCALE = 10  # r_h and each reward gap lie in 1..REWARD_SCALE (r_m - r_dp: twice that)
 POWER_SCALE = 20   # unnormalized power weights are drawn from 1..POWER_SCALE
+_T20_SPAN = 6  # t = t20/20 with t20 - 10 drawn from 0.._T20_SPAN - 1
+_DP_SPAN = 2 * REWARD_SCALE  # r_m - r_dp is drawn from 1.._DP_SPAN
+# the random bits `randint` draws for each span
+_POWER_BITS, _T20_BITS, _REWARD_BITS, _DP_BITS = (
+    span.bit_length() for span in (POWER_SCALE, _T20_SPAN, REWARD_SCALE, _DP_SPAN)
+)
 # the default and the widest node-count range drawn (the tests cross-check
 # T3 on these draws against a scan of all 2^n subsets)
 _N_RANGE = (3, 8)
@@ -370,39 +376,56 @@ class _Draw(NamedTuple):
 def _draw(rng: random.Random, n_range: tuple[int, int], mutation: str | None) -> _Draw:
     """The instance `random_game_params` describes, as integers.
 
-    `randint` is `rng.randint` without its call layers: like
-    `random.Random._randbelow`, it draws `span.bit_length()` random bits
-    until they fall below the span, so it reads the same stream and returns
-    the same integers.
+    Each value is drawn as `rng.randint(lo, hi)` draws it, by the rejection
+    loop of `random.Random._randbelow`: `span.bit_length()` random bits,
+    drawn again until they fall below the span. Each field group is one
+    such loop with its constant span and bit count: n, the n weights
+    (1..POWER_SCALE), t20 (10 + 0..5), the 3n rewards drawn alike (r_h,
+    then the r_d gaps, then the r_m gaps, each 1..REWARD_SCALE) and the n
+    r_dp gaps (1..2·REWARD_SCALE). So it reads the same words, rejects the
+    same values and leaves the generator where `randint` calls would.
     """
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}; known: {MUTATIONS}")
     getrandbits = rng.getrandbits
-
-    def randint(lo: int, hi: int) -> int:
-        span = hi - lo + 1
-        k = span.bit_length()
-        r = getrandbits(k)
-        while r >= span:
-            r = getrandbits(k)
-        return lo + r
-
     n_min, n_max = n_range
-    n = randint(n_min, n_max)
+    span = n_max - n_min + 1
+    k = span.bit_length()
+    r = getrandbits(k)
+    while r >= span:
+        r = getrandbits(k)
+    n = n_min + r
     while True:
-        weights = [randint(1, POWER_SCALE) for _ in range(n)]
+        weights = []
+        while len(weights) < n:
+            r = getrandbits(_POWER_BITS)
+            if r < POWER_SCALE:
+                weights.append(r + 1)
         total = sum(weights)
         # t = t20/20 in [1/2, 3/4]; every power w/total must stay below it
-        t20 = 10 + randint(0, 5)
+        t20 = getrandbits(_T20_BITS)
+        while t20 >= _T20_SPAN:
+            t20 = getrandbits(_T20_BITS)
+        t20 += 10
         if 20 * max(weights) < t20 * total:
             break
 
-    r_h = [randint(1, REWARD_SCALE) for _ in range(n)]
+    rewards = []  # r_h, then the r_d gaps, then the r_m gaps
+    while len(rewards) < 3 * n:
+        r = getrandbits(_REWARD_BITS)
+        if r < REWARD_SCALE:
+            rewards.append(r + 1)
+    dp_gaps = []
+    while len(dp_gaps) < n:
+        r = getrandbits(_DP_BITS)
+        if r < _DP_SPAN:
+            dp_gaps.append(r + 1)
+    r_h = rewards[:n]
     d_sign = 1 if mutation == MUTATION_DEVIANT_REWARD_ABOVE_HONEST else -1
-    r_d = [r_h[i] + d_sign * randint(1, REWARD_SCALE) for i in range(n)]
+    r_d = [h + d_sign * gap for h, gap in zip(r_h, rewards[n:2 * n])]
     m_sign = -1 if mutation == MUTATION_MALICIOUS_REWARD_BELOW_HONEST else 1
-    r_m = [r_h[i] + m_sign * randint(1, REWARD_SCALE) for i in range(n)]
-    r_dp = [r_m[i] - randint(1, 2 * REWARD_SCALE) for i in range(n)]
+    r_m = [h + m_sign * gap for h, gap in zip(r_h, rewards[2 * n:])]
+    r_dp = [m - gap for m, gap in zip(r_m, dp_gaps)]
     return _Draw(
         n=n,
         weights=tuple(20 * w for w in weights),
@@ -574,17 +597,22 @@ def verify_theorem(
     subset in the collusion game has a member earning below its honest
     reward, one weight region of the subset at a time (so all-honest is not
     strict there); T4 checks all-commit strictness. The report is a pure
-    function of (theorem, generator_seed, instances, n_range, mutation): each
-    instance draws from its own stream derived from the seed and the
-    instance index. Instances are checked as integer draws; only the
-    reported failure is converted to a `GameParams`.
+    function of (theorem, generator_seed, instances, n_range, mutation):
+    instance i draws from the stream of `derive_seed(generator_seed,
+    "instance", i)`. One generator serves every instance, reseeded through
+    the C seed before each draw; reseeding replaces the whole generator
+    state, so each instance reads what a fresh `random.Random(seed)` would.
+    Instances are checked as integer draws; only the reported failure is
+    converted to a `GameParams`.
     """
     if theorem not in _CHECKS:
         raise ValueError(f"theorem must be one of {sorted(_CHECKS)}, got {theorem!r}")
     _validate_verifier_args(instances, n_range)
     check = _CHECKS[theorem]
-    for index in range(instances):
-        rng = random.Random(derive_seed(generator_seed, "instance", index))
+    rng = random.Random(0)  # reseeded before each instance's draw
+    reseed = super(random.Random, rng).seed  # the C seed that `Random.seed` hands an int to
+    for index, seed in zip(range(instances), derived_seeds(generator_seed, "instance")):
+        reseed(seed)
         draw = _draw(rng, n_range, mutation)
         failure = check(draw)
         if failure is not None:

@@ -276,7 +276,8 @@ def _payoff_rule(
     collusion game's contract orders the honest protocol, which then runs
     at full power, so everyone earns r_h. Without collusion the honest
     protocol executes iff v_h > t; if neither side clears t the system
-    stalls and pays everyone 0.
+    stalls and pays everyone 0 (the int, which equals `Fraction(0)` and
+    compares with an integer reward without a Fraction comparison).
 
     The split is read only through `> t_weight` tests, so both returned
     tuples are constant on each weight region. In the collusion game there
@@ -290,7 +291,7 @@ def _payoff_rule(
         return params.reward_honest, params.reward_honest
     if w_h > t:
         return params.reward_honest, params.reward_deviant_vs_honest
-    stall = (Fraction(0),) * params.n
+    stall = (0,) * params.n
     return stall, stall
 
 

@@ -23,6 +23,7 @@ import io
 import itertools
 import json
 import math
+import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -60,7 +61,7 @@ from .games import (
     validate_params,
 )
 from .rational import check_fields, decode_json, format_rational, parse_bool, parse_int, parse_rational
-from .seeding import derive_seed
+from .seeding import derive_seed, derived_seeds
 
 SCHEMA_VERSION = 1
 # the top-level keys of a scenario file; any other key is a load error
@@ -451,12 +452,17 @@ def _seeded_runs(config: SimConfig, seed: int, stream: int, runs: int, trace: bo
     Runs draw from stream `stream` of the sim-run seed space: a chain_sim task
     is stream 0 and sweep cell c stream c, so a one-cell sweep reproduces it.
     Each run is `config` with its own seed for `rng_seed`; the config is not
-    rebuilt per run, as the race takes the seed beside it.
+    rebuilt per run, as the race takes the seeded generator beside it. One
+    generator serves every run, reseeded through the C seed before each; a
+    reseed replaces the whole state, so a run reads what a fresh
+    `random.Random(run_seed)` would.
     """
+    rng = random.Random(0)  # reseeded before each run
+    reseed = super(random.Random, rng).seed  # the C seed that `Random.seed` hands an int to
     successes = 0
-    for run_index in range(runs):
-        run_seed = derive_seed(seed, "sim-run", stream, run_index)
-        detail = _race(config, run_seed, trace and run_index == 0)
+    for run_index, run_seed in zip(range(runs), derived_seeds(seed, "sim-run", stream)):
+        reseed(run_seed)
+        detail = _race(config, rng, trace and run_index == 0)
         if run_index == 0:
             first = detail
         successes += detail.result.success

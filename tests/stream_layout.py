@@ -10,7 +10,14 @@ j-th pair is the pair that the j-th of m `random()` calls would consume:
 Byte 8j+3, the top byte of w0, is then floor(256 * random()). After the
 bulk draw the generator is where the m calls would leave it, so the next
 `random()` agrees too. `chainsim.run_attack_detailed` reads its slots this
-way; run this file under each supported interpreter to check it there:
+way.
+
+The randomized verifier and the seeded sim runs each keep one generator and
+reseed it per instance or run through the C seed that `Random.seed` hands
+an int to, `super(random.Random, rng).seed(seed)`. That replaces the whole
+generator state, so after any earlier draws the generator yields the stream
+of a fresh `random.Random(seed)`. Run this file under each supported
+interpreter to check both there:
 
     python3 tests/stream_layout.py
 """
@@ -49,6 +56,24 @@ def layout_mismatches(seeds=SEEDS, chunk_sizes=CHUNK_SIZES) -> list[tuple[int, i
     return mismatches
 
 
+def reseed_mismatches(seeds=SEEDS, words: int = 100) -> list[int]:
+    """The seeds for which a generator reseeded through the C seed, after
+    earlier draws, disagrees with a fresh `random.Random(seed)` in its next
+    `words` 32-bit words or its `random()` floats after them."""
+    mismatches = []
+    used = random.Random(-1)
+    for seed in seeds:
+        used.getrandbits(64 * (seed % 7 + 1)), used.random()  # draws made before the reseed
+        super(random.Random, used).seed(seed)
+        fresh = random.Random(seed)
+        if (
+            [used.getrandbits(32) for _ in range(words)] != [fresh.getrandbits(32) for _ in range(words)]
+            or [used.random() for _ in range(words)] != [fresh.random() for _ in range(words)]
+        ):
+            mismatches.append(seed)
+    return mismatches
+
+
 if __name__ == "__main__":
     bad = layout_mismatches()
     version = sys.version.split()[0]
@@ -56,3 +81,8 @@ if __name__ == "__main__":
         print(f"CPython {version}: layout mismatch at (seed, m) {bad[:5]}")
         sys.exit(1)
     print(f"CPython {version}: {len(SEEDS) * len(CHUNK_SIZES)} bulk draws match random()")
+    bad = reseed_mismatches()
+    if bad:
+        print(f"CPython {version}: a reseeded generator differs from a fresh one at seeds {bad[:5]}")
+        sys.exit(1)
+    print(f"CPython {version}: {len(SEEDS)} reseeded generators match fresh ones")

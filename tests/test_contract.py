@@ -396,6 +396,28 @@ class TestEventLogReplay:
         assert summary.payouts == {0: Fraction(63, 5), 1: Fraction(243, 20)}
         assert summary.residual_to_magnate == Fraction(9, 4)
 
+    def test_replay_sums_each_state_order_at_most_once(self, monkeypatch):
+        built, calls = [], []
+        init, exceeds = ContractState.__init__, PowerDistribution.exceeds
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def counting_exceeds(self, nodes, t):
+            calls.append(self)
+            return exceeds(self, nodes, t)
+
+        monkeypatch.setattr(ContractState, "__init__", counting_init)
+        monkeypatch.setattr(PowerDistribution, "exceeds", counting_exceeds)
+        fixture = Path(__file__).resolve().parent.parent / "scenarios" / "p3_contract_events.jsonl"
+        with open(fixture, "r", encoding="utf-8") as fh:
+            replay = replay_events(fh)
+        # a commit reads the order of the state it extends, a distribute the
+        # order of the state it settles: each state's order is summed at most once
+        assert 0 < len(calls) <= len(built)
+        assert replay.final_state.order is Protocol.MALICIOUS
+
     def test_replay_matches_direct_construction(self):
         lines = [
             '{"event": "init", "expiration_time": 100, "magnate_deposit": "9",'

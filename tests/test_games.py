@@ -24,6 +24,7 @@ from briberysim import (
     validate_params,
 )
 from briberysim.games import ProfileVariantMismatch
+from briberysim.rational import format_rational_list
 from helpers import aggregate_powers, uniform_params
 
 H, M, C = Strategy.HONEST, Strategy.MALICIOUS, Strategy.COMMIT
@@ -219,6 +220,12 @@ class TestUtilityNoCollusion:
         params = uniform_params(("2/5", "7/20", "1/4"), "3/5", 2, -1, 5, -3)
         profile = game0(H, M, M)  # v_h = 2/5 <= 3/5 and v_m = 3/5 <= 3/5
         assert [utility(params, profile, i) for i in range(3)] == [0, 0, 0]
+
+    def test_stall_payoff_vector_is_zeros_formatted_as_0(self):
+        params = uniform_params(("2/5", "7/20", "1/4"), "3/5", 2, -1, 5, -3)
+        payoffs = payoff_vector(params, game0(H, M, M))
+        assert payoffs == (0, 0, 0) == (Fraction(0),) * 3
+        assert format_rational_list(payoffs) == ["0", "0", "0"]
 
     def test_malicious_majority(self, p3):
         profile = game0(M, M, H)  # v_m = 3/4 > 1/2
