@@ -18,16 +18,20 @@ integers. The randomized verifier checks each instance as the integers it
 was drawn as (`_Draw`) and builds a `GameParams`, with Fraction powers and
 rewards, only for the instance it reports as failing; `random_game_params`
 builds one for its callers.
-Strictness checks flip one node at a time. T3 tests the committed side's
-two weight regions; only a failing instance has its 2^n subsets scanned,
-in mask order, to name the first failing one. Dominance scans all 2^(n-1)
-opponent profiles per node, which caps it at ENUMERATION_LIMIT nodes.
+Strictness checks flip one node at a time, in one loop (`_first_flip`) that
+`is_strict_nash` runs on each side of a profile and T1/T4 on the uniform
+split. T3 tests the committed side's two weight regions; only a failing
+instance has its 2^n subsets scanned, in mask order, to name the first
+failing one. Dominance scans all 2^(n-1) opponent profiles per node, which
+caps it at ENUMERATION_LIMIT nodes.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import repeat
+from operator import add, lt, mul, sub
 from typing import NamedTuple, Sequence
 
 from .games import (
@@ -39,7 +43,6 @@ from .games import (
     Variant,
     _payoff_rule,
     _weight_split,
-    all_commit,
     all_honest,
     opposing_strategy,
     params_to_json_dict,
@@ -70,29 +73,48 @@ class NashReport(NamedTuple):
     profiles_checked: int
 
 
+def _first_flip(
+    params: GameParams, variant: Variant, w_h: int, w_opposing: int, honest: bool,
+    nodes: Sequence[NodeId],
+) -> Deviation | None:
+    """The first of `nodes` (all honest if `honest`, else all opposing), in
+    index order, whose flip moving its weight across the split (w_h,
+    w_opposing) does not lower its payoff, or None."""
+    rule = _payoff_rule
+    before = rule(params, variant, w_h, w_opposing)[0 if honest else 1]
+    after_side, sign = (1, 1) if honest else (0, -1)
+    weights = params.weights
+    for node in nodes:
+        w = sign * weights[node]
+        after = rule(params, variant, w_h - w, w_opposing + w)[after_side][node]
+        if after >= before[node]:
+            strategy = opposing_strategy(variant) if honest else Strategy.HONEST
+            return Deviation(node, strategy, before[node], after)
+    return None
+
+
 def is_strict_nash(params: GameParams, profile: StrategyProfile) -> NashReport:
     """Check strictness of `profile` by flipping each node's strategy once.
 
     Strict means every unilateral flip strictly lowers the deviator's
-    payoff; a flip that merely breaks even is already a counterexample.
-    A flip moves one node's weight across the power split.
+    payoff; a flip that breaks even is a counterexample. `_first_flip` scans
+    each side, and the lower of their first nodes is the counterexample,
+    found after node + 2 profiles (the profile, then the flips up to it).
     """
-    variant = profile.variant
     w_h, w_opposing = _weight_split(params, profile)
-    rule = _payoff_rule
-    honest, opposing = rule(params, variant, w_h, w_opposing)
-    honest_choice, to_opposing = Strategy.HONEST, opposing_strategy(variant)
-    for node, (choice, w) in enumerate(zip(profile.choices, params.weights)):
-        if choice is honest_choice:
-            before = honest[node]
-            after = rule(params, variant, w_h - w, w_opposing + w)[1][node]
-        else:
-            before = opposing[node]
-            after = rule(params, variant, w_h + w, w_opposing - w)[0][node]
-        if after >= before:
-            flipped = to_opposing if choice is honest_choice else honest_choice
-            return NashReport(False, Deviation(node, flipped, before, after), node + 2)
-    return NashReport(True, None, len(profile.choices) + 1)
+    variant = profile.variant
+    sides = ([], [])  # the honest nodes, the opposing nodes
+    for node, choice in enumerate(profile.choices):
+        sides[choice is not Strategy.HONEST].append(node)
+    flips = [
+        flip
+        for honest in (True, False)
+        if (flip := _first_flip(params, variant, w_h, w_opposing, honest, sides[not honest]))
+    ]
+    if not flips:
+        return NashReport(True, None, profile.n + 1)
+    first = min(flips)  # the sides share no node, so the nodes decide
+    return NashReport(False, first, first.node + 2)
 
 
 class NodeDominance(NamedTuple):
@@ -237,19 +259,9 @@ def find_deviation_cascade(params: GameParams, order: Sequence[NodeId]) -> Casca
         deviating.append(node)
         payoffs = payoff_vector(params, profile)
         monotone = all(payoffs[i] >= previous[i] for i in deviating)
-        steps.append(
-            CascadeStep(
-                step=step_index,
-                node_flipped=node,
-                deviating=tuple(sorted(deviating)),
-                payoffs=payoffs,
-                deviator_monotone=monotone,
-            )
-        )
+        steps.append(CascadeStep(step_index, node, tuple(sorted(deviating)), payoffs, monotone))
         previous = payoffs
-    return CascadeTrace(
-        order=order, initial_payoffs=initial, steps=tuple(steps), final_profile=profile
-    )
+    return CascadeTrace(order, initial, tuple(steps), profile)
 
 
 # --- Deposit bound (T2) ---------------------------------------------------
@@ -327,12 +339,8 @@ def verify_deposit_bound(params: GameParams, deposit: Fraction) -> DepositCheck:
             for x in rewards:
                 checked += 1
                 if y - deposit >= x:
-                    return DepositCheck(
-                        sufficient=False,
-                        violation=DepositViolation(node=node, x=x, y=y),
-                        pairs_checked=checked,
-                    )
-    return DepositCheck(sufficient=True, violation=None, pairs_checked=checked)
+                    return DepositCheck(False, DepositViolation(node, x, y), checked)
+    return DepositCheck(True, None, checked)
 
 
 # --- Random instance generation -------------------------------------------
@@ -383,7 +391,8 @@ def _draw(rng: random.Random, n_range: tuple[int, int], mutation: str | None) ->
     (1..POWER_SCALE), t20 (10 + 0..5), the 3n rewards drawn alike (r_h,
     then the r_d gaps, then the r_m gaps, each 1..REWARD_SCALE) and the n
     r_dp gaps (1..2·REWARD_SCALE). So it reads the same words, rejects the
-    same values and leaves the generator where `randint` calls would.
+    same values and leaves the generator where `randint` calls would. The
+    record is built positionally, each field one C-level `map`.
     """
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}; known: {MUTATIONS}")
@@ -420,20 +429,14 @@ def _draw(rng: random.Random, n_range: tuple[int, int], mutation: str | None) ->
         r = getrandbits(_DP_BITS)
         if r < _DP_SPAN:
             dp_gaps.append(r + 1)
-    r_h = rewards[:n]
-    d_sign = 1 if mutation == MUTATION_DEVIANT_REWARD_ABOVE_HONEST else -1
-    r_d = [h + d_sign * gap for h, gap in zip(r_h, rewards[n:2 * n])]
-    m_sign = -1 if mutation == MUTATION_MALICIOUS_REWARD_BELOW_HONEST else 1
-    r_m = [h + m_sign * gap for h, gap in zip(r_h, rewards[2 * n:])]
-    r_dp = [m - gap for m, gap in zip(r_m, dp_gaps)]
+    # r_d = r_h - gap, r_m = r_h + gap, r_dp = r_m - gap; each map stops after n values
+    r_d_op = add if mutation == MUTATION_DEVIANT_REWARD_ABOVE_HONEST else sub
+    r_m_op = sub if mutation == MUTATION_MALICIOUS_REWARD_BELOW_HONEST else add
+    r_h = tuple(rewards[:n])
+    r_m = tuple(map(r_m_op, r_h, rewards[2 * n:]))
     return _Draw(
-        n=n,
-        weights=tuple(20 * w for w in weights),
-        t_weight=t20 * total,
-        reward_honest=tuple(r_h),
-        reward_deviant_vs_honest=tuple(r_d),
-        reward_malicious=tuple(r_m),
-        reward_deviant_vs_malicious=tuple(r_dp),
+        n, tuple(map(mul, weights, repeat(20, n))), t20 * total,
+        r_h, tuple(map(r_d_op, r_h, rewards[n:])), r_m, tuple(map(sub, r_m, dp_gaps)),
     )
 
 
@@ -506,16 +509,18 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _check_strict_nash(params: GameParams, profile: StrategyProfile, label: str) -> str | None:
-    report = is_strict_nash(params, profile)
-    if report.is_strict_nash:
+def _check_uniform(params: GameParams, variant: Variant, honest: bool, label: str) -> str | None:
+    """T1/T4: every node honest (or every node opposing) is strict iff no
+    flip out of the uniform split breaks even."""
+    total = sum(params.weights)
+    split = (total, 0) if honest else (0, total)
+    ce = _first_flip(params, variant, *split, honest, range(params.n))
+    if ce is None:
         return None
-    ce = report.counterexample
-    game = profile.variant.value.replace("_", "-")
+    game = variant.value.replace("_", "-")
     return (
-        f"{label} not strict in the {game} game: node {ce.node} deviates to "
-        f"{ce.strategy.value} for {format_rational(ce.payoff_after)} >= "
-        f"{format_rational(ce.payoff_before)}"
+        f"{label} not strict in the {game} game: node {ce.node} deviates to {ce.strategy.value} "
+        f"for {format_rational(ce.payoff_after)} >= {format_rational(ce.payoff_before)}"
     )
 
 
@@ -525,11 +530,12 @@ def _check_t3(params: GameParams) -> str | None:
 
     The committed side's rewards are constant on each region of its weight
     W (`_payoff_rule`): W <= t_weight and W > t_weight. So the rule is called
-    once per region, giving the region's mask of nodes paid below r_h. Both
-    masks are empty on every valid instance, which returns at once; only a
-    failing instance is scanned, in increasing mask order, to the first
-    subset holding a losing node of its own region (a subset's honest side
-    is its complement). The text names that subset's lowest losing node.
+    once per region, and one C-level `map` per region tests it for a node
+    paid below r_h. No valid instance has one, and returns at once; only a
+    failing instance builds each region's mask of such nodes and scans its
+    subsets, in increasing mask order, to the first one holding a losing
+    node of its own region (a subset's honest side is its complement). The
+    text names that subset's lowest losing node.
 
     That all-honest is not strict in the collusion game needs no check of
     its own: a passing check has found each lone committer (a singleton
@@ -538,12 +544,11 @@ def _check_t3(params: GameParams) -> str | None:
     r_h = params.reward_honest
     total = sum(params.weights)
     t = params.t_weight
-    regions = []  # per region (W <= t, W > t): the mask of nodes paid below r_h, the rewards
-    for w in (0, t + 1):
-        _, committed = _payoff_rule(params, Variant.COLLUSION, total - w, w)
-        regions.append((sum(1 << i for i in range(params.n) if committed[i] < r_h[i]), committed))
-    if not (regions[0][0] or regions[1][0]):
+    paid = [_payoff_rule(params, Variant.COLLUSION, total - w, w)[1] for w in (0, t + 1)]
+    if not (any(map(lt, paid[0], r_h)) or any(map(lt, paid[1], r_h))):
         return None
+    # per region (W <= t, W > t): the mask of nodes paid below r_h, the rewards
+    regions = [(sum(1 << i for i in range(params.n) if p[i] < r_h[i]), p) for p in paid]
     for mask, weight in enumerate(_subset_weights(params.weights)):
         below, committed = regions[weight > t]
         losers = mask & below
@@ -565,12 +570,10 @@ def _check_t2(params: GameParams) -> str | None:
 
 
 _CHECKS = {
-    "T1": lambda params: _check_strict_nash(
-        params, all_honest(params.n, Variant.NO_COLLUSION), "all-honest"
-    ),
+    "T1": lambda params: _check_uniform(params, Variant.NO_COLLUSION, True, "all-honest"),
     "T2": _check_t2,
     "T3": _check_t3,
-    "T4": lambda params: _check_strict_nash(params, all_commit(params.n), "all-commit"),
+    "T4": lambda params: _check_uniform(params, Variant.COLLUSION, False, "all-commit"),
 }
 
 
@@ -616,15 +619,9 @@ def verify_theorem(
         draw = _draw(rng, n_range, mutation)
         failure = check(draw)
         if failure is not None:
-            return VerificationReport(
-                theorem=theorem,
-                instances_tested=index + 1,
-                all_passed=False,
-                first_failure=TheoremFailure(index, _game_params(draw), failure),
-            )
-    return VerificationReport(
-        theorem=theorem, instances_tested=instances, all_passed=True, first_failure=None
-    )
+            first = TheoremFailure(index, _game_params(draw), failure)
+            return VerificationReport(theorem, index + 1, False, first)
+    return VerificationReport(theorem, instances, True, None)
 
 
 def verify_deposit_theorem(

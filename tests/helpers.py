@@ -2,11 +2,11 @@
 
 A uniform-reward params builder, randomized contract sessions and the
 phases their event history implies, a Fraction power split, a per-profile
-dominance scan, the ordered T3 subset scan, the instance draw through
-`random.randint`, the fork race one `random()` per slot, a counter model
-of the fork race and exact binomial acceptance ranges: each oracle is
-written as directly as the model reads, so that the optimized code can be
-checked against it.
+dominance scan, strictness by explicit flipped profiles, the ordered T3
+subset scan, the instance draw through `random.randint`, the fork race one
+`random()` per slot, a counter model of the fork race and exact binomial
+acceptance ranges: each oracle is written as directly as the model reads,
+so that the optimized code can be checked against it.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from briberysim.equilibrium import (
     MUTATIONS,
     POWER_SCALE,
     REWARD_SCALE,
+    Deviation,
+    NashReport,
     NodeDominance,
     _Draw,
 )
@@ -274,6 +276,21 @@ def dominance_by_profiles(params: GameParams) -> DominanceReport:
         per_node=tuple(per_node),
         opponent_profiles_checked=opponents_per_node,
     )
+
+
+def strict_nash_by_flips(params: GameParams, profile: StrategyProfile) -> NashReport:
+    """Strictness by brute force: each node, in index order, switches to the
+    other strategy of its game in an explicit profile, and its `payoff_vector`
+    entry there is compared with its entry in `profile`; the first flip that
+    does not lower it is the counterexample, after node + 2 profiles."""
+    before = payoff_vector(params, profile)
+    opposing = Strategy.COMMIT if profile.variant is Variant.COLLUSION else Strategy.MALICIOUS
+    for node, choice in enumerate(profile.choices):
+        flipped = Strategy.HONEST if choice is not Strategy.HONEST else opposing
+        after = payoff_vector(params, profile.with_choice(node, flipped))[node]
+        if after >= before[node]:
+            return NashReport(False, Deviation(node, flipped, before[node], after), node + 2)
+    return NashReport(True, None, profile.n + 1)
 
 
 def t3_by_subsets(params: GameParams) -> str | None:

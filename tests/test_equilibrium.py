@@ -42,7 +42,13 @@ from briberysim.games import PowerDistribution, params_to_json_dict
 from briberysim.rational import format_rational
 from briberysim.scenario import TaskResult, table_csv
 from briberysim.seeding import derive_seed
-from helpers import dominance_by_profiles, draw_by_randint, t3_by_subsets, uniform_params
+from helpers import (
+    dominance_by_profiles,
+    draw_by_randint,
+    strict_nash_by_flips,
+    t3_by_subsets,
+    uniform_params,
+)
 
 H, C, M = Strategy.HONEST, Strategy.COMMIT, Strategy.MALICIOUS
 
@@ -567,3 +573,64 @@ class TestDrawMatchesRandint:
             drawn = equilibrium._draw(fast, n_range, mutation)
             assert drawn == draw_by_randint(oracle, n_range, mutation)
             assert fast.random() == oracle.random()
+
+
+def strict_nash_text(params: GameParams, profile: StrategyProfile, label: str) -> str | None:
+    """The T1/T4 failure text, built from `is_strict_nash`'s report."""
+    report = is_strict_nash(params, profile)
+    if report.is_strict_nash:
+        return None
+    ce = report.counterexample
+    game = profile.variant.value.replace("_", "-")
+    return (
+        f"{label} not strict in the {game} game: node {ce.node} deviates to "
+        f"{ce.strategy.value} for {format_rational(ce.payoff_after)} >= "
+        f"{format_rational(ce.payoff_before)}"
+    )
+
+
+class TestOneFlipLoop:
+    @pytest.mark.parametrize("n_range", [(3, 3), (8, 8), (3, 8)])
+    def test_verifier_texts_match_is_strict_nash(self, n_range):
+        # the T1/T4 checks flip nodes out of the uniform split directly; they
+        # must say what is_strict_nash says of the same instance's profile
+        failures = {"T1": 0, "T4": 0}
+        for mutation in (None, *equilibrium.MUTATIONS):
+            for seed in range(250):
+                draw = equilibrium._draw(random.Random(seed), n_range, mutation)
+                params = equilibrium._game_params(draw)
+                for theorem, profile, label in (
+                    ("T1", all_honest(draw.n, Variant.NO_COLLUSION), "all-honest"),
+                    ("T4", all_commit(draw.n), "all-commit"),
+                ):
+                    text = equilibrium._CHECKS[theorem](draw)
+                    expected = strict_nash_text(params, profile, label)
+                    assert text == expected, (theorem, seed, mutation)
+                    failures[theorem] += text is not None
+        # 3 x 250 draws per n_range, and failure texts are compared, not only passes
+        assert failures["T1"] and failures["T4"]
+
+    def test_is_strict_nash_matches_explicit_flips_on_mixed_profiles(self):
+        rng = random.Random(2025)
+        counterexamples = {H: 0, M: 0, C: 0, None: 0}
+        for index in range(600):
+            params = random_game_params(rng, (2, 7), rng.choice((None, *equilibrium.MUTATIONS)))
+            variant = rng.choice(list(Variant))
+            opposing = C if variant is Variant.COLLUSION else M
+            choices = tuple(rng.choice((H, opposing)) for _ in range(params.n))
+            profile = StrategyProfile(choices, variant)
+            report = is_strict_nash(params, profile)
+            assert report == strict_nash_by_flips(params, profile), (index, profile)
+            ce = report.counterexample
+            counterexamples[None if ce is None else ce.strategy] += 1
+        # flips from both sides are found first, in both games, and some profiles are strict
+        assert all(counterexamples.values())
+
+    def test_lower_node_of_the_two_sides_is_reported(self):
+        # the split stalls (0 each): node 0 (opposing) gains by flipping and
+        # nodes 1 and 2 (honest) break even; node 0 comes first
+        params = uniform_params(("1/4", "1/4", "1/2"), "3/4", 2, -1, 5, -3)
+        profile = StrategyProfile((M, H, H), Variant.NO_COLLUSION)
+        report = is_strict_nash(params, profile)
+        assert report == strict_nash_by_flips(params, profile)
+        assert (report.counterexample.node, report.profiles_checked) == (0, 2)

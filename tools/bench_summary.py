@@ -1,7 +1,7 @@
 """Summarize perfbench result files: each metric's median and IQR per source tree and workload.
 
     python tools/bench_summary.py --out BENCH.json DIR_OR_FILE [DIR_OR_FILE ...]
-    python tools/bench_summary.py --out BENCH.json --label 0123abcd=parent .perfbench_out
+    python tools/bench_summary.py --out BENCH.json --label 0123abcd=parent --label 4567ef89=change
 
 Each input is a `result_*.json` file that `perfbench/run.py` writes, or a
 directory holding such files (`.perfbench_out/` by default). Results are
@@ -13,7 +13,11 @@ For every group and workload the output gives each metric's median, first
 and third quartiles (inclusive method), IQR, run count and value by seed,
 so a reader can pair runs by seed. It also records the machine (the one
 every result names, or each distinct one), the runs' seconds, and whether
-every run was correct. Stdlib only.
+every run was correct. When one group is labelled `parent` and another
+`change`, `paired` gives, for each workload and metric both ran, the runs
+paired by seed: how many pairs the change is better in (lower or higher, as
+`BENCHMARK.json` declares the metric; null when it declares none), how many
+tie, and the median change/parent ratio. Stdlib only.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRED_LABELS = ("parent", "change")
 
 
 def load_results(inputs: list[Path]) -> list[dict]:
@@ -47,7 +52,49 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": len(values)}
 
 
-def summarize(records: list[dict], labels: dict[str, str]) -> dict:
+def directions(benchmark: Path) -> dict[str, str]:
+    """Each metric's `better` direction ("lower" or "higher"), as the benchmark declares it."""
+    spec = json.loads(benchmark.read_text(encoding="utf-8"))
+    metrics = spec.get("end_to_end", []) + spec.get("per_layer", [])
+    return {metric["name"]: metric["better"] for metric in metrics}
+
+
+def paired(parent: dict, change: dict, better: dict[str, str]) -> dict:
+    """Per workload and metric of both groups, over the seeds both ran: the
+    pair count, the pairs the change is better or tied in, and the median
+    change/parent ratio (over the pairs whose parent value is not 0)."""
+    out: dict[str, dict] = {}
+    for workload, base in parent["workloads"].items():
+        other = change["workloads"].get(workload, {"metrics": {}})["metrics"]
+        for name, entry in base["metrics"].items():
+            if name not in other:
+                continue
+            pairs = [
+                (value, other[name]["by_seed"][key])
+                for key, value in entry["by_seed"].items()
+                if key in other[name]["by_seed"]
+            ]
+            if not pairs:
+                continue
+            direction = better.get(name)
+            wins = None
+            if direction is not None:
+                sign = 1 if direction == "higher" else -1
+                wins = sum(sign * (new - old) > 0 for old, new in pairs)
+            ratios = [new / old for old, new in pairs if old]
+            out.setdefault(workload, {})[name] = {
+                "better": direction,
+                "pairs": len(pairs),
+                "change_better": wins,
+                "ties": sum(new == old for old, new in pairs),
+                "median_ratio": statistics.median(ratios) if ratios else None,
+            }
+    return out
+
+
+def summarize(
+    records: list[dict], labels: dict[str, str], benchmark: Path = ROOT / "BENCHMARK.json"
+) -> dict:
     machines = []
     groups: dict[str, dict] = {}
     for record in records:
@@ -70,11 +117,20 @@ def summarize(records: list[dict], labels: dict[str, str]) -> dict:
             if key in entry["by_seed"]:
                 raise ValueError(f"{record['_file']}: a second {record['workload']} run of {key}")
             entry["by_seed"][key] = metric["value"]
+    labelled: dict[str, dict] = {}
     for group in groups.values():
         for workload in group["workloads"].values():
             for entry in workload["metrics"].values():
                 entry.update(spread(list(entry["by_seed"].values())))
-    return {"machine": machines[0] if len(machines) == 1 else machines, "sources": groups}
+        if group["label"] in PAIRED_LABELS:
+            if group["label"] in labelled:
+                raise ValueError(f"two sources are labelled {group['label']!r}")
+            labelled[group["label"]] = group
+    summary = {"machine": machines[0] if len(machines) == 1 else machines, "sources": groups}
+    if len(labelled) == len(PAIRED_LABELS):
+        better = directions(benchmark)
+        summary["paired"] = paired(labelled["parent"], labelled["change"], better)
+    return summary
 
 
 def main(argv=None) -> int:
