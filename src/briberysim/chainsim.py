@@ -74,8 +74,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .games import NodeId, PowerDistribution
-from .rational import as_fraction, check_fields, format_rational, parse_int, parse_rational
-from .rational import parse_rational_list
+from .rational import check_fields, format_rational, parse_int, parse_rational, parse_rational_list
 
 
 class Consensus(Enum):
@@ -95,7 +94,7 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "minions", frozenset(self.minions))
-        object.__setattr__(self, "threshold_t", as_fraction(self.threshold_t, "sim config: threshold_t"))
+        object.__setattr__(self, "threshold_t", parse_rational(self.threshold_t, "sim config: threshold_t"))
         if not self.powers.is_normalized():
             raise ValueError("sim config: powers must be positive and sum to exactly 1")
         if self.confirmations < 1:
@@ -151,7 +150,7 @@ def catch_up_probability(minion_share: Fraction, deficit: int) -> Fraction:
     the fork starts `confirmations` blocks behind and must end strictly
     ahead, so winning means closing a deficit of confirmations + 1.
     """
-    minion_share = as_fraction(minion_share, "minion_share")
+    minion_share = parse_rational(minion_share, "minion_share")
     if deficit < 0:
         raise ValueError("deficit must be >= 0")
     if minion_share >= Fraction(1, 2):

@@ -21,8 +21,9 @@ Transitions are pure: every operation returns a new state, built directly
 from the old one's fields, so an event log replays to a bit-identical final
 state. A state stores only its commits, settlements and clock; the order and
 the phase are derived from them. Time is an integer logical clock advanced
-explicitly by events. Amounts arrive as Fractions: an event log's are read
-by `rational.parse_rational`, and nothing here converts them again.
+explicitly by events. Every amount is read by `rational.parse_rational`,
+whether it comes from an event log or from the Python API (`ContractConfig`,
+`contract_commit`), so only exact Fractions reach the arithmetic here.
 """
 
 from __future__ import annotations
@@ -61,13 +62,18 @@ class SettlementOutcome(Enum):
 
 @dataclass(frozen=True)
 class ContractConfig:
-    """The contract's terms. The deposit and threshold are Fractions, as
-    `parse_rational` makes them; they are stored as given, not converted."""
+    """The contract's terms. The deposit and threshold are read by
+    `parse_rational`, as an event log's are: a Fraction is kept as it is, an
+    int or a rational string made exact, a float, Decimal or bool rejected."""
 
     expiration_time: int
     magnate_deposit: Fraction
     threshold_t: Fraction
     powers: PowerDistribution
+
+    def __post_init__(self):
+        object.__setattr__(self, "magnate_deposit", parse_rational(self.magnate_deposit, "magnate_deposit"))
+        object.__setattr__(self, "threshold_t", parse_rational(self.threshold_t, "threshold_t"))
 
 
 class OracleReport(NamedTuple):
@@ -138,6 +144,7 @@ def contract_commit(state: ContractState, node: NodeId, deposit: Fraction) -> Co
         raise ContractError(f"commit rejected: unknown node {node}")
     if node in state.minions:
         raise ContractError(f"commit rejected: node {node} already committed")
+    deposit = parse_rational(deposit, "deposit")
     if deposit <= 0:
         raise ContractError(f"commit rejected: deposit {format_rational(deposit)} must be positive")
     return ContractState(state.config, {**state.minions, node: deposit}, state.settlements, state.clock)

@@ -48,7 +48,7 @@ from .games import (
     params_to_json_dict,
     payoff_vector,
 )
-from .rational import as_fraction, format_rational, format_rational_list
+from .rational import format_rational, format_rational_list, parse_rational
 from .seeding import derived_seeds
 
 ENUMERATION_LIMIT = 12  # 2^12 opponent profiles per node is the largest exhaustive scan
@@ -326,7 +326,7 @@ def verify_deposit_bound(params: GameParams, deposit: Fraction) -> DepositCheck:
     where x and y each range over the node's four possible rewards; the
     deposit suffices iff y - deposit < x for all 16 pairs at every node.
     """
-    deposit = as_fraction(deposit, "deposit")
+    deposit = parse_rational(deposit, "deposit")
     checked = 0
     for node in range(params.n):
         rewards = (

@@ -46,14 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .rational import (
-    as_fraction,
-    check_fields,
-    format_rational,
-    format_rational_list,
-    parse_rational,
-    parse_rational_list,
-)
+from .rational import check_fields, format_rational, format_rational_list, parse_rational, parse_rational_list
 
 NodeId = int
 
@@ -86,10 +79,11 @@ class ProfileVariantMismatch(ValueError):
 class PowerDistribution:
     """Per-node voting power shares.
 
-    Construction only coerces the powers to Fractions (one given as a
-    Fraction is kept as it is, a string is read as `parse_rational` reads
-    it); whether the distribution is admissible (all positive, sums to
-    exactly 1) is a validation question answered by `validate_params`.
+    Construction only reads the powers with `parse_rational`, as a scenario
+    file's are read: a Fraction is kept as it is, an int or a rational string
+    made exact, a float, Decimal or bool rejected. Whether the distribution is
+    admissible (all positive, sums to exactly 1) is a validation question
+    answered by `validate_params`.
     """
 
     powers: tuple[Fraction, ...]
@@ -98,7 +92,7 @@ class PowerDistribution:
     scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        powers = tuple(as_fraction(p, f"powers[{i}]") for i, p in enumerate(self.powers))
+        powers = tuple(parse_rational(p, f"powers[{i}]") for i, p in enumerate(self.powers))
         scale = math.lcm(*(p.denominator for p in powers))
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "scale", scale)
@@ -146,7 +140,7 @@ class GameParams:
     t_weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = as_fraction(self.threshold_t, "threshold_t")
+        t = parse_rational(self.threshold_t, "threshold_t")
         object.__setattr__(self, "threshold_t", t)
         object.__setattr__(self, "weights", self.powers.weights)
         object.__setattr__(self, "t_weight", self.powers.threshold_weight(t))
@@ -156,7 +150,7 @@ class GameParams:
             "reward_malicious",
             "reward_deviant_vs_malicious",
         ):
-            values = tuple(as_fraction(v, f"{name}[{i}]") for i, v in enumerate(getattr(self, name)))
+            values = tuple(parse_rational(v, f"{name}[{i}]") for i, v in enumerate(getattr(self, name)))
             if len(values) != self.powers.n:
                 raise ValueError(f"{name} has {len(values)} entries for {self.powers.n} nodes")
             object.__setattr__(self, name, values)

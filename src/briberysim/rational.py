@@ -83,11 +83,12 @@ def decode_json(data: str | bytes) -> object:
 
 
 def parse_rational(value: object, field: str = "value") -> Fraction:
-    """Parse a rational from a JSON-decoded value.
+    """Parse a rational from a JSON-decoded value or a Python API argument.
 
     Accepts rational strings ("7/20", "3", "-0.25", ".5", "5e-1"), ints, and
-    Fractions. Floats are rejected: a JSON number like 0.55 keeps its decimal
-    meaning only when decoded by `decode_json`. This is where input becomes a
+    Fractions. Floats, Decimals and bools are rejected, from JSON and from the
+    Python API alike: a JSON number like 0.55 keeps its decimal meaning only
+    when decoded by `decode_json`. This is where input becomes a
     Fraction: a string is read by `_RATIONAL`, and a zero denominator, a
     decimal exponent outside -999..999 or int()'s digit limit rejects it.
     """
@@ -100,17 +101,6 @@ def parse_rational(value: object, field: str = "value") -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise ValueError(f"{field}: expected a rational string, got {type(value).__name__}")
-
-
-def as_fraction(value: object, field: str) -> Fraction:
-    """A number given to the Python API as a Fraction: a Fraction as it is, a
-    string read as `parse_rational` reads it (the same on every interpreter),
-    anything else, an int say, by `Fraction(value)`."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, str):
-        return _read(value, field)
-    return Fraction(value)
 
 
 def parse_int(value: object, field: str, minimum: int | None = None) -> int:

@@ -124,6 +124,29 @@ class TestCommit:
         with pytest.raises(ContractError, match="deposit"):
             contract_commit(contract_init(p3_config()), 0, Fraction(0))
 
+    def test_float_deposit_rejected_naming_it(self):
+        # kept as floats, deposits 0.1 and 0.2 would settle as payouts {0: 3.7, 1: 3.35}
+        with pytest.raises(ValueError) as raised:
+            contract_commit(contract_init(p3_config()), 0, 0.1)
+        assert str(raised.value) == "deposit: expected a rational string, got float"
+
+    def test_string_deposit_read_exactly(self):
+        state = contract_commit(contract_init(p3_config()), 0, "1/10")
+        state = contract_commit(state, 1, "0.2")
+        assert sum(state.minions.values()) == Fraction(3, 10)
+
+    def test_float_deposit_read_after_the_other_checks(self):
+        opened = contract_init(p3_config())
+        committed = contract_commit(opened, 0, 9)
+        for state, node, message in [
+            (contract_commit(committed, 1, 9), 2, "phase is attack_ordered"),
+            (advance_clock(opened, 100), 0, "is not before expiration"),
+            (opened, 7, "unknown node 7"),
+            (committed, 0, "node 0 already committed"),
+        ]:
+            with pytest.raises(ContractError, match=message):
+                contract_commit(state, node, 0.1)
+
 
 class TestClock:
     def test_advance(self):

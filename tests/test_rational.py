@@ -7,6 +7,7 @@ builder."""
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from briberysim import (
     Consensus,
+    ContractConfig,
     GameParams,
     PowerDistribution,
     SimConfig,
     catch_up_probability,
+    contract_commit,
+    contract_init,
     verify_deposit_bound,
 )
 from briberysim.rational import decode_json, format_rational, parse_rational
@@ -141,6 +145,54 @@ def test_api_strings_read_as_parse_rational_reads_them(field, call, text, expect
         assert str(api.value) == str(raised.value)
     else:
         assert call(text) == call(parse_rational(text))
+
+
+# the contract's rational inputs, read as API_FIELDS' are: (field as its errors
+# name it, the call with the value in that field, what the call returns of it)
+P3_CONTRACT = ContractConfig(100, 9, "1/2", P3_POWERS)
+CONTRACT_FIELDS = [
+    ("magnate_deposit", lambda v: ContractConfig(100, v, "1/2", P3_POWERS).magnate_deposit),
+    ("threshold_t", lambda v: ContractConfig(100, 9, v, P3_POWERS).threshold_t),
+    ("deposit", lambda v: contract_commit(contract_init(P3_CONTRACT), 0, v).minions[0]),
+]
+EVERY_API_FIELD = API_FIELDS + CONTRACT_FIELDS
+EVERY_API_FIELD_ID = [field for field, _ in API_FIELDS] + [f"contract {field}" for field, _ in CONTRACT_FIELDS]
+
+
+@pytest.mark.parametrize("field, call", EVERY_API_FIELD, ids=EVERY_API_FIELD_ID)
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), True], ids=["float", "Decimal", "bool"])
+def test_api_rejects_inexact_numbers_as_parse_rational_does(field, call, value):
+    with pytest.raises(ValueError) as raised:
+        parse_rational(value, field)
+    with pytest.raises(ValueError) as api:
+        call(value)
+    assert str(api.value) == str(raised.value)
+    expected = "a rational, got a boolean" if value is True else f"a rational string, got {type(value).__name__}"
+    assert str(api.value) == f"{field}: expected {expected}"
+
+
+# a deposit must be positive, so the contract is given DRIFT's positive values only
+POSITIVE_DRIFT = [(text, expected) for text, expected in DRIFT if expected is None or Fraction(expected) > 0]
+
+
+@pytest.mark.parametrize("field, call", CONTRACT_FIELDS, ids=[field for field, _ in CONTRACT_FIELDS])
+@pytest.mark.parametrize("text, expected", POSITIVE_DRIFT, ids=[repr(text) for text, _ in POSITIVE_DRIFT])
+def test_contract_strings_read_as_parse_rational_reads_them(field, call, text, expected):
+    if expected is None:
+        with pytest.raises(ValueError) as raised:
+            parse_rational(text, field)
+        with pytest.raises(ValueError) as api:
+            call(text)
+        assert str(api.value) == str(raised.value)
+    else:
+        made = call(text)
+        assert format_rational(made) == expected and type(made) is Fraction
+
+
+@pytest.mark.parametrize("field, call", CONTRACT_FIELDS, ids=[field for field, _ in CONTRACT_FIELDS])
+def test_contract_reads_an_int_as_a_fraction(field, call):
+    made = call(3)
+    assert made == 3 and type(made) is Fraction
 
 
 @given(st.fractions())

@@ -864,6 +864,13 @@ class TestCli:
         assert f"tasks[0] ({task['kind']})" in proc.stderr and field in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("n_range", [5, [3]], ids=["number", "one-entry"])
+    def test_n_range_not_a_pair_exits_2_naming_it(self, tmp_path, capsys, n_range):
+        file = write_scenario(tmp_path, tasks=[{"kind": "verify_t1", "n_range": n_range}])
+        assert main(["verify", str(file)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: tasks[0] (verify_t1): 'n_range': expected [n_min, n_max], got {n_range!r}\n"
+
     def test_contract_trace_error_names_task_and_file(self, tmp_path, capsys):
         init = (REPO_SCENARIOS / "p3_contract_events.jsonl").read_text().splitlines()[0]
         commit = json.dumps({"event": "commit", "node": 0, "deposit": "9"})
