@@ -71,7 +71,7 @@ from itertools import accumulate, chain, count
 from operator import indexOf, sub
 from struct import unpack_from
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .games import NodeId, PowerDistribution
 from .rational import check_fields, format_rational, parse_int, parse_rational, parse_rational_list
@@ -94,6 +94,8 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "minions", frozenset(self.minions))
+        for name in ("confirmations", "horizon_slots", "rng_seed"):
+            object.__setattr__(self, name, parse_int(getattr(self, name), f"sim config: {name}"))
         object.__setattr__(self, "threshold_t", parse_rational(self.threshold_t, "sim config: threshold_t"))
         if not self.powers.is_normalized():
             raise ValueError("sim config: powers must be positive and sum to exactly 1")
@@ -391,11 +393,3 @@ def sim_config_from_payload(doc: dict, context: str = "sim") -> SimConfig:
         rng_seed=parse_int(doc.get("rng_seed", 0), f"{context}.rng_seed"),
         threshold_t=threshold_t,
     )
-
-
-def trace_to_csv(rows: Iterable[tuple], fh) -> None:
-    import csv
-
-    writer = csv.writer(fh)
-    writer.writerow(TRACE_COLUMNS)
-    writer.writerows(rows)

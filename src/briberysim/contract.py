@@ -21,9 +21,10 @@ Transitions are pure: every operation returns a new state, built directly
 from the old one's fields, so an event log replays to a bit-identical final
 state. A state stores only its commits, settlements and clock; the order and
 the phase are derived from them. Time is an integer logical clock advanced
-explicitly by events. Every amount is read by `rational.parse_rational`,
-whether it comes from an event log or from the Python API (`ContractConfig`,
-`contract_commit`), so only exact Fractions reach the arithmetic here.
+explicitly by events. Each call reads its own arguments: an amount with
+`rational.parse_rational`, so only exact Fractions reach the arithmetic here,
+and a clock time or node index with `rational.parse_int`. An event log line
+passes its values to the call unread, so it fails as that call fails.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .games import NodeId, PowerDistribution
 from .rational import check_fields, decode_json, format_rational, parse_bool, parse_int
-from .rational import parse_rational, parse_rational_list, shorten
+from .rational import parse_rational, shorten
 
 
 class ContractError(ValueError):
@@ -62,8 +63,8 @@ class SettlementOutcome(Enum):
 
 @dataclass(frozen=True)
 class ContractConfig:
-    """The contract's terms. The deposit and threshold are read by
-    `parse_rational`, as an event log's are: a Fraction is kept as it is, an
+    """The contract's terms. The expiration time is read by `parse_int`, the
+    deposit and threshold by `parse_rational`: a Fraction is kept as it is, an
     int or a rational string made exact, a float, Decimal or bool rejected."""
 
     expiration_time: int
@@ -72,6 +73,7 @@ class ContractConfig:
     powers: PowerDistribution
 
     def __post_init__(self):
+        object.__setattr__(self, "expiration_time", parse_int(self.expiration_time, "expiration_time"))
         object.__setattr__(self, "magnate_deposit", parse_rational(self.magnate_deposit, "magnate_deposit"))
         object.__setattr__(self, "threshold_t", parse_rational(self.threshold_t, "threshold_t"))
 
@@ -134,6 +136,7 @@ def contract_commit(state: ContractState, node: NodeId, deposit: Fraction) -> Co
     issued: freezing the minion set at trigger time keeps each share
     v_i * D_m well-defined at the moment of the order.
     """
+    node = parse_int(node, "node")
     if state.phase is not Phase.OPEN:
         raise ContractError(f"commit rejected: contract phase is {state.phase.value}")
     if state.clock >= state.config.expiration_time:
@@ -151,6 +154,7 @@ def contract_commit(state: ContractState, node: NodeId, deposit: Fraction) -> Co
 
 
 def advance_clock(state: ContractState, to: int) -> ContractState:
+    to = parse_int(to, "to")
     if to < state.clock:
         raise ContractError(f"clock cannot regress from {state.clock} to {to}")
     return ContractState(state.config, state.minions, state.settlements, to)
@@ -169,6 +173,7 @@ def contract_distribute(
     expiration_time commits are already closed but no refund is due yet, so
     a never-successful attack's minion is still PENDING there.
     """
+    node = parse_int(node, "node")
     if node not in state.minions:
         raise ContractError(f"distribute rejected: node {node} never committed")
     if node in state.settlements:
@@ -283,15 +288,6 @@ _EVENT_FIELDS = {
 _EVENT_KEYS = {kind: (frozenset(req), frozenset(req + opt)) for kind, (req, opt) in _EVENT_FIELDS.items()}
 
 
-def config_from_payload(doc: dict) -> ContractConfig:
-    return ContractConfig(
-        expiration_time=parse_int(doc["expiration_time"], "expiration_time"),
-        magnate_deposit=parse_rational(doc["magnate_deposit"], "magnate_deposit"),
-        threshold_t=parse_rational(doc["threshold_t"], "threshold_t"),
-        powers=PowerDistribution(parse_rational_list(doc["powers"], "powers")),
-    )
-
-
 def oracle_from_payload(doc: dict, n: int) -> OracleReport:
     """The oracle report of an `oracle_report` line, for a contract of `n` nodes."""
     entries = doc.get("executed_protocol", {})
@@ -324,9 +320,10 @@ class ReplayResult(NamedTuple):
 def replay_events(lines: Iterable[str]) -> ReplayResult:
     """Replay a JSON-lines event log into a final contract state.
 
-    Lines are decoded by `decode_json`. A malformed line raises ValueError
-    naming the line and the field; a transition the contract forbids raises
-    ContractError (a ValueError) naming the line.
+    Lines are decoded by `decode_json`, and each line's values pass unread to
+    its contract call. A malformed line raises ValueError naming the line and
+    the field; a transition the contract forbids raises ContractError (a
+    ValueError) naming the line.
     """
     state: ContractState | None = None
     oracle: OracleReport | None = None
@@ -350,20 +347,21 @@ def replay_events(lines: Iterable[str]) -> ReplayResult:
             if kind == "init":
                 if state is not None:
                     raise ValueError("duplicate init")
-                state = contract_init(config_from_payload(event))
+                state = contract_init(ContractConfig(
+                    event["expiration_time"], event["magnate_deposit"], event["threshold_t"],
+                    PowerDistribution(event["powers"]),
+                ))
             elif kind == "commit":
-                node = parse_int(event["node"], "node")
-                state = contract_commit(state, node, parse_rational(event["deposit"], "deposit"))
+                state = contract_commit(state, event["node"], event["deposit"])
             elif kind == "advance_clock":
-                state = advance_clock(state, parse_int(event["to"], "to"))
+                state = advance_clock(state, event["to"])
             elif kind == "oracle_report":
                 oracle = oracle_from_payload(event, state.config.powers.n)
             else:
                 if oracle is None:
                     raise ValueError("distribute before any oracle_report")
-                node = parse_int(event["node"], "node")
-                state, outcome = contract_distribute(state, node, oracle)
-                outcomes.append((node, outcome))
+                state, outcome = contract_distribute(state, event["node"], oracle)
+                outcomes.append((event["node"], outcome))
         except ValueError as exc:
             raise type(exc)(f"event log line {line_no}: {exc}") from None
     if state is None:

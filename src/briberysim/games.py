@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .rational import check_fields, format_rational, format_rational_list, parse_rational, parse_rational_list
@@ -79,11 +78,11 @@ class ProfileVariantMismatch(ValueError):
 class PowerDistribution:
     """Per-node voting power shares.
 
-    Construction only reads the powers with `parse_rational`, as a scenario
-    file's are read: a Fraction is kept as it is, an int or a rational string
-    made exact, a float, Decimal or bool rejected. Whether the distribution is
-    admissible (all positive, sums to exactly 1) is a validation question
-    answered by `validate_params`.
+    Construction only reads the powers with `parse_rational_list`, as a
+    scenario file's are read: a list or tuple of Fractions, ints or rational
+    strings, made exact; a float, Decimal or bool is rejected. Whether the
+    distribution is admissible (all positive, sums to exactly 1) is a
+    validation question answered by `validate_params`.
     """
 
     powers: tuple[Fraction, ...]
@@ -92,7 +91,7 @@ class PowerDistribution:
     scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        powers = tuple(parse_rational(p, f"powers[{i}]") for i, p in enumerate(self.powers))
+        powers = parse_rational_list(self.powers, "powers")
         scale = math.lcm(*(p.denominator for p in powers))
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "scale", scale)
@@ -150,7 +149,7 @@ class GameParams:
             "reward_malicious",
             "reward_deviant_vs_malicious",
         ):
-            values = tuple(parse_rational(v, f"{name}[{i}]") for i, v in enumerate(getattr(self, name)))
+            values = parse_rational_list(getattr(self, name), name)
             if len(values) != self.powers.n:
                 raise ValueError(f"{name} has {len(values)} entries for {self.powers.n} nodes")
             object.__setattr__(self, name, values)
@@ -197,13 +196,10 @@ class StrategyProfile:
         return StrategyProfile(tuple(choices), self.variant)
 
 
-# a profile is frozen, so every caller can share the one built for its n
-@lru_cache(maxsize=32)
 def all_honest(n: int, variant: Variant) -> StrategyProfile:
     return StrategyProfile((Strategy.HONEST,) * n, variant)
 
 
-@lru_cache(maxsize=32)
 def all_commit(n: int) -> StrategyProfile:
     return StrategyProfile((Strategy.COMMIT,) * n, Variant.COLLUSION)
 

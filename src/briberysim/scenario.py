@@ -32,12 +32,12 @@ from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
 from .chainsim import (
+    TRACE_COLUMNS,
     Consensus,
     SimConfig,
     _race,
     parse_consensus,
     sim_config_from_payload,
-    trace_to_csv,
 )
 from .contract import replay_events
 from .equilibrium import (
@@ -344,13 +344,15 @@ def table_csv(task: TaskResult) -> str:
     This is both the `<kind>_<index>.csv` artifact of the table tasks and
     what `--format csv` prints for every task.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
     table = TASKS[task.kind].table
     if table is None:
-        writer.writerows([["kind", "index", "passed"], [task.kind, task.index, task.passed]])
-    else:
-        writer.writerows(table(task.payload))
+        return _csv_text([["kind", "index", "passed"], [task.kind, task.index, task.passed]])
+    return _csv_text(table(task.payload))
+
+
+def _csv_text(rows: Iterable) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
     return buffer.getvalue()
 
 
@@ -438,10 +440,8 @@ def _run_chain_sim(scenario: Scenario, task: TaskSpec, index: int, seed: int, ou
     payload["first_run"] = first.result.to_payload()
     if not trace:
         return None, payload
-    buffer = io.StringIO()
-    trace_to_csv(first.trace, buffer)
     name = f"chain_trace_{index}.csv"
-    _write(out / name, buffer.getvalue())  # run_scenario checked that `out` is set
+    _write(out / name, _csv_text([TRACE_COLUMNS, *first.trace]))  # run_scenario checked that `out` is set
     return None, payload, (name,)
 
 

@@ -1,5 +1,6 @@
 """Tests for the bribery contract state machine and its event log."""
 
+import json
 import os
 import random
 import subprocess
@@ -690,3 +691,51 @@ class TestEventLogReplay:
         lines = ['{"event": "frobnicate"}']
         with pytest.raises(ValueError, match="frobnicate.*before init|before init"):
             replay_events(lines)
+
+    @pytest.mark.parametrize(
+        "lines, api_call",
+        [
+            (['{"event": "commit", "node": 0, "deposit": "9"}',
+              '{"event": "commit", "node": 1, "deposit": "9"}',
+              '{"event": "commit", "node": 2, "deposit": "abc"}'],
+             lambda: contract_commit(_ordered_state(), 2, "abc")),
+            (['{"event": "advance_clock", "to": 100}',
+              '{"event": "commit", "node": 0, "deposit": "abc"}'],
+             lambda: contract_commit(advance_clock(contract_init(p3_config()), 100), 0, "abc")),
+            (['{"event": "commit", "node": 7, "deposit": "abc"}'],
+             lambda: contract_commit(contract_init(p3_config()), 7, "abc")),
+            (['{"event": "commit", "node": 0, "deposit": "9"}',
+              '{"event": "commit", "node": 0, "deposit": "abc"}'],
+             lambda: contract_commit(contract_commit(contract_init(p3_config()), 0, 9), 0, "abc")),
+        ],
+        ids=["phase", "expired", "unknown-node", "repeat-commit"],
+    )
+    def test_commit_line_fails_as_its_api_call(self, lines, api_call):
+        init = (
+            '{"event": "init", "expiration_time": 100, "magnate_deposit": "9",'
+            ' "threshold_t": "1/2", "powers": ["2/5", "7/20", "1/4"]}'
+        )
+        with pytest.raises(ContractError) as api:
+            api_call()
+        with pytest.raises(ContractError) as logged:
+            replay_events([init, *lines])
+        assert str(logged.value) == f"event log line {len(lines) + 1}: {api.value}"
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (2.5, "9", "1/2", "1"),
+            (100, "x", "1/2", ["1/2", "x"]),
+            (100, "9", "abc", ["1/2", True]),
+        ],
+        ids=["expiration-and-powers", "deposit-and-power", "threshold-and-power"],
+    )
+    def test_init_line_fails_as_its_api_call(self, values):
+        expiration, deposit, t, powers = values
+        with pytest.raises(ValueError) as api:
+            ContractConfig(expiration, deposit, t, PowerDistribution(powers))
+        line = json.dumps({"event": "init", "expiration_time": expiration, "magnate_deposit": deposit,
+                           "threshold_t": t, "powers": powers})
+        with pytest.raises(ValueError) as logged:
+            replay_events([line])
+        assert str(logged.value) == f"event log line 1: {api.value}"

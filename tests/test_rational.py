@@ -17,14 +17,18 @@ from briberysim import (
     Consensus,
     ContractConfig,
     GameParams,
+    OracleReport,
     PowerDistribution,
+    Protocol,
     SimConfig,
+    advance_clock,
     catch_up_probability,
     contract_commit,
+    contract_distribute,
     contract_init,
     verify_deposit_bound,
 )
-from briberysim.rational import decode_json, format_rational, parse_rational
+from briberysim.rational import decode_json, format_rational, parse_int, parse_rational
 
 # digits, signs, the slash, the point, the exponent mark, underscores,
 # whitespace, and decimal digits outside ASCII (Arabic-Indic, fullwidth)
@@ -193,6 +197,49 @@ def test_contract_strings_read_as_parse_rational_reads_them(field, call, text, e
 def test_contract_reads_an_int_as_a_fraction(field, call):
     made = call(3)
     assert made == 3 and type(made) is Fraction
+
+
+# the Python API's integer inputs: (field as its errors name it, the call with
+# the value in that field)
+P3_ORDERED = contract_commit(contract_commit(contract_init(P3_CONTRACT), 0, 9), 1, 9)
+P3_ORACLE = OracleReport(True, {0: Protocol.MALICIOUS, 1: Protocol.MALICIOUS})
+INT_FIELDS = [
+    ("expiration_time", lambda v: ContractConfig(v, 9, "1/2", P3_POWERS)),
+    ("node", lambda v: contract_commit(contract_init(P3_CONTRACT), v, 9)),
+    ("node", lambda v: contract_distribute(P3_ORDERED, v, P3_ORACLE)),
+    ("to", lambda v: advance_clock(contract_init(P3_CONTRACT), v)),
+    ("sim config: confirmations", lambda v: SimConfig(P3_POWERS, {0, 1}, Consensus.POW_LONGEST_CHAIN, v, 10, 0)),
+    ("sim config: horizon_slots", lambda v: SimConfig(P3_POWERS, {0, 1}, Consensus.POW_LONGEST_CHAIN, 3, v, 0)),
+    ("sim config: rng_seed", lambda v: SimConfig(P3_POWERS, {0, 1}, Consensus.POW_LONGEST_CHAIN, 3, 10, v)),
+]
+INT_FIELD_IDS = ["expiration_time", "commit node", "distribute node", "to",
+                 "confirmations", "horizon_slots", "rng_seed"]
+
+
+@pytest.mark.parametrize("field, call", INT_FIELDS, ids=INT_FIELD_IDS)
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_api_integers_read_as_parse_int_reads_them(field, call, value):
+    with pytest.raises(ValueError) as raised:
+        parse_int(value, field)
+    with pytest.raises(ValueError) as api:
+        call(value)
+    assert str(api.value) == str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "field, call",
+    [
+        ("powers", lambda: PowerDistribution("1")),
+        ("powers", lambda: PowerDistribution("1/2")),
+        ("reward_honest", lambda: GameParams(
+            PowerDistribution(("1/2", "1/2")), "1/2", "22", (-1, -1), (5, 5), (-3, -3))),
+    ],
+    ids=["one-char-powers", "ratio-powers", "two-char-reward"],
+)
+def test_api_lists_read_as_arrays(field, call):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == f"{field}: expected an array of rational strings"
 
 
 @given(st.fractions())
